@@ -7,19 +7,18 @@ here realize the two-way correspondence with saturated binomial ideals and
 the saturation/extension calculus that drives every decomposition step.
 """
 
-from math import lcm
+from math import lcm, prod
 
 from . import checks
-from .errors import MonomialInIdeal, RootNotInField
-from .ideals import (
-    Ideal,
-    cell_product,
-    eliminate,
-    embed_from_subring,
-    restrict_to_subring,
-    saturate_monomial,
+from .errors import (
+    InconsistentCharacter,
+    MonomialInIdeal,
+    NotBinomial,
+    RootNotInField,
 )
-from .intlattice import Lattice, hnf_with_transform, kernel, transpose
+from .ideals import Ideal, cell_product, eliminate, saturate_monomial
+from .intlattice import Lattice, _p_part, hnf_with_transform, kernel, transpose
+from .poly import render_poly
 from .scalars import factorint, scalar_key, unit_decompose
 
 
@@ -58,7 +57,9 @@ class PartialCharacter:
                     if coef:
                         acc = acc * (val**coef)
                 if acc != field.one:
-                    raise ValueError("inconsistent character values on relations")
+                    raise InconsistentCharacter(
+                        "inconsistent character values on relations"
+                    )
         lat = Lattice(len(cell), vectors)
         h, t = hnf_with_transform(vectors)
         # nonzero HNF rows h[i] = sum_j t[i][j] * vectors[j]
@@ -165,11 +166,7 @@ def extend_all(rho, sup):
             root_lists.append([c])
             continue
         roots = rho.field.dth_roots(c, f)
-        expected = f
-        p = rho.field.char
-        if p:
-            while expected % p == 0:
-                expected //= p
+        expected = f // _p_part(f, rho.field.char)
         if len(roots) != expected:
             raise RootNotInField(
                 f"field has only {len(roots)} of the {expected} required {f}-th roots"
@@ -239,30 +236,25 @@ def laurent_primary_decomposition(rho):
     of the primary components I(rho_j) on Sat'_p), 'associated_primes'
     (saturated characters rho'_j), and 'multiplicity' |Sat_p(L)/L|.
     """
-    p = rho.field.char
-    sat_p, sat_pp, g = rho.lattice.p_saturations(p)
-    rho_p = rho if sat_p == rho.lattice else extend_unique(rho, sat_p)
-    comps = extend_all(rho, sat_pp)
-    sat_full = rho.lattice.saturation()
-    primes = [
-        e if e.lattice == sat_full else extend_unique(e, sat_full) for e in comps
-    ]
-    mult = 1
-    for f in _inclusion_factors(rho.lattice, sat_p):
-        mult *= f
+    rho_p, primes = character_saturations(rho)
+    _, sat_pp, _ = rho.lattice.p_saturations(rho.field.char)
     return {
         "radical": rho_p,
-        "components": comps,
+        # rho_j is the restriction of its unique extension rho'_j
+        "components": [s.restricted(sat_pp) for s in primes],
         "associated_primes": primes,
-        "multiplicity": mult,
+        "multiplicity": laurent_multiplicity(rho),
     }
 
 
-def _inclusion_factors(lat, sup):
-    if lat == sup or lat.rank == 0:
-        return []
-    _, factors, _ = lat.diagonalized_inclusion(sup)
-    return factors
+def laurent_multiplicity(rho):
+    """|Sat_p(L)/L|: the multiplicity of each primary component of I(rho)."""
+    lat = rho.lattice
+    sat_p, _, _ = lat.p_saturations(rho.field.char)
+    if sat_p == lat:
+        return 1
+    _, factors, _ = lat.diagonalized_inclusion(sat_p)
+    return prod(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -297,36 +289,53 @@ def ideal_from_character(ring, rho):
     return out
 
 
+def cell_character(gens, cell, field):
+    """The character rho of the cell ideal (gens) + M(off-cell variables).
+
+    By ES Thm 2.1 a binomial ideal of the Laurent ring k[cell^±] is either
+    the unit ideal or I(rho), and rho is read off any binomial generating
+    set: with the off-cell variables set to 0, each x^a − c·x^b gives the
+    value c on a − b.  Returns None for the unit ideal, when a generator
+    becomes a monomial or the values clash on a relation among the vectors.
+
+    `gens` should be a reduced Groebner basis, which is binomial exactly
+    when the ideal is (ES §1); an element left with three or more terms on
+    the cell raises NotBinomial.
+    """
+    cell = tuple(cell)
+    inside = set(cell)
+    vectors, values = [], []
+    for g in gens:
+        off = [v for v in range(g.ring.nvars) if v not in inside]
+        h = g.substitute_zero(off)
+        if not h.terms:
+            continue
+        if len(h.terms) == 1:
+            return None
+        if len(h.terms) > 2:
+            raise NotBinomial(
+                f"reduced Groebner basis element {render_poly(g)} has "
+                f"{len(h.terms)} terms on the cell"
+            )
+        (ea, ca), (eb, cb) = h.terms
+        vectors.append(tuple(ea[v] - eb[v] for v in cell))
+        values.append(-(cb / ca))
+    try:
+        return PartialCharacter.from_generators(cell, vectors, values, field, verify=True)
+    except InconsistentCharacter:
+        return None
+
+
 def character_from_cellular(i, cell, field=None):
     """The unique rho whose lattice ideal is (I ∩ k[cell] : (∏ cell)^∞).
 
     Raises MonomialInIdeal when the cell ideal is the unit Laurent ideal.
     """
-    ring = i.ring
-    field = field or ring.field
     cell = tuple(sorted(cell))
-    e = eliminate(i, cell)
-    esub, sub = restrict_to_subring(e, cell)
-    if esub.is_zero():
-        return PartialCharacter.trivial(cell, field)
-    esat = saturate_monomial(esub, cell_product(sub, range(sub.nvars)))
-    if esat.is_unit():
+    rho = cell_character(eliminate(i, cell).gens, cell, field or i.ring.field)
+    if rho is None:
         raise MonomialInIdeal("cell ideal contains a monomial in the cell variables")
-    return _character_of_saturated(esat, cell, field)
-
-
-def _character_of_saturated(esat, cell, field):
-    """Extract the character of a proper, cell-saturated subring ideal."""
-    vectors, values = [], []
-    for g in esat.gb():
-        assert len(g.terms) == 2, "saturated cell ideal must have binomial GB"
-        (ea, ca), (eb, cb) = g.terms
-        assert ca == esat.ring.field.one or ca == 1
-        vectors.append(tuple(a - b for a, b in zip(ea, eb)))
-        values.append(-(cb / ca))
-    return PartialCharacter.from_generators(
-        cell, vectors, values, field, verify=checks.ENABLED
-    )
+    return rho
 
 
 def character_prime_ideal(ring, rho):
@@ -344,36 +353,11 @@ def binomial_prime_components(p_ideal):
     splits as (variables outside the cell) + I_+(rho) with rho saturated.
     """
     ring = p_ideal.ring
-    if p_ideal.is_unit():
-        return (False, (), None)
-    n = ring.nvars
-    contained = [v for v in range(n) if p_ideal.contains(ring.var(v))]
-    cell = tuple(v for v in range(n) if v not in set(contained))
-    reduced = [g.substitute_zero(contained) for g in p_ideal.gens]
-    reduced = [g for g in reduced if g.terms]
-    if not cell:
-        rebuilt = Ideal(ring, tuple(ring.var(v) for v in contained))
-        ok = rebuilt == p_ideal
-        return (ok, cell, PartialCharacter.trivial(cell, ring.field) if ok else None)
-    resid_sub, sub = restrict_to_subring(Ideal(ring, reduced), cell)
-    if resid_sub.is_zero():
-        rho = PartialCharacter.trivial(cell, ring.field)
-        rebuilt = Ideal(ring, tuple(ring.var(v) for v in contained))
-        return (rebuilt == p_ideal, cell, rho)
-    esat = saturate_monomial(resid_sub, cell_product(sub, range(sub.nvars)))
-    if esat.is_unit():
-        return (False, cell, None)
-    if esat != resid_sub:
-        return (False, cell, None)
-    rho = _character_of_saturated(esat, cell, ring.field)
-    if not rho.is_saturated():
+    cell = tuple(v for v in range(ring.nvars) if not p_ideal.contains(ring.var(v)))
+    rho = cell_character(p_ideal.gb().polys, cell, ring.field)
+    if rho is None or not rho.is_saturated():
         return (False, cell, rho)
-    rebuilt = Ideal(
-        ring,
-        tuple(ring.var(v) for v in contained)
-        + embed_from_subring(esat, ring, list(cell)).gens,
-    )
-    return (rebuilt == p_ideal, cell, rho)
+    return (character_prime_ideal(ring, rho) == p_ideal, cell, rho)
 
 
 # ---------------------------------------------------------------------------

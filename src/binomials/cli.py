@@ -19,12 +19,19 @@ import argparse
 import json
 import sys
 
-from .errors import BadFieldSpec, BinomialsError, ParseError, UnknownVariable
+from .errors import (
+    BadFieldSpec,
+    BinomialsError,
+    InconsistentCharacter,
+    ParseError,
+    UnknownVariable,
+)
 from .characters import (
     PartialCharacter,
     character_from_cellular,
     character_prime_ideal,
     ideal_from_character,
+    laurent_multiplicity,
 )
 from .decompose import (
     associated_prime_characters,
@@ -200,7 +207,10 @@ def _parse_character_block(rhs, ring, pos):
             values.append(parse_scalar(v.strip(), ring.field))
     if len(values) != len(rows):
         raise ParseError("need one value per lattice row", *pos)
-    rho = PartialCharacter.from_generators(cell, rows, values, ring.field)
+    try:
+        rho = PartialCharacter.from_generators(cell, rows, values, ring.field)
+    except InconsistentCharacter as exc:
+        raise ParseError(str(exc), *pos)
     return ideal_from_character(ring, rho)
 
 
@@ -298,17 +308,10 @@ def _laurent_multiplicity(pc):
         tau = character_from_cellular(pc.ideal, pc.cell)
     except BinomialsError:
         return None
-    p = pc.ideal.ring.field.char
-    sat_p, _, _ = tau.lattice.p_saturations(p)
-    mult = 1
-    if sat_p != tau.lattice:
-        _, factors, _ = tau.lattice.diagonalized_inclusion(sat_p)
-        for f in factors:
-            mult *= f
-    return mult
+    return laurent_multiplicity(tau)
 
 
-def run_command(cmd, name, ideal, order, verify, max_escalation, parallel=False):
+def run_command(cmd, name, ideal, order, verify, max_escalation):
     """Execute one command; returns (json_record, human_text_lines)."""
     ring = ideal.ring
     rec = {
@@ -349,7 +352,7 @@ def run_command(cmd, name, ideal, order, verify, max_escalation, parallel=False)
             rec["certificates"]["intersection_is_radical"] = ok
             lines += [f"intersection equals radical: {ok}"]
     elif cmd == "cellular":
-        comps = cellular_decomposition(ideal, max_escalation, parallel)
+        comps = cellular_decomposition(ideal, max_escalation)
         rec["cells"] = [_cells_names(ring, c.cell) for c in comps]
         rec["components"] = [
             {
@@ -369,7 +372,7 @@ def run_command(cmd, name, ideal, order, verify, max_escalation, parallel=False)
             chars = associated_prime_characters(ideal, cell)
             prime_list = [(s, character_prime_ideal(ring, s), cell) for s in chars]
         else:
-            comps = primary_decomposition(ideal, max_escalation, parallel=parallel)
+            comps = primary_decomposition(ideal, max_escalation)
             prime_list = [(pc.char, pc.prime, pc.cell) for pc in comps]
         rec["cells"] = sorted({tuple(_cells_names(ring, c)) for _, _, c in prime_list})
         rec["cells"] = [list(c) for c in rec["cells"]]
@@ -404,7 +407,7 @@ def run_command(cmd, name, ideal, order, verify, max_escalation, parallel=False)
         lines += ["hull = " + ", ".join(_gens_text(out, order))]
         lines += [f"binomial: {binom}"]
     elif cmd == "primary":
-        comps = primary_decomposition(ideal, max_escalation, certify=True, parallel=parallel)
+        comps = primary_decomposition(ideal, max_escalation, certify=True)
         for pc in comps:
             pc.multiplicity = _laurent_multiplicity(pc)
         rec["field"] = repr(effective_field(ring, [pc.ideal for pc in comps], [pc.prime for pc in comps]))
@@ -446,29 +449,22 @@ def run_command(cmd, name, ideal, order, verify, max_escalation, parallel=False)
 
 
 def run_session(session, order=DEGREVLEX, verify=False, json_mode=False,
-                max_escalation=20, parallel=False):
+                max_escalation=20):
     records = []
     lines = []
-    jobs = [
-        (cmd, name, session.ideals[name], order, verify, max_escalation, parallel)
-        for cmd, name in session.commands
-    ]
-    results = [_run_one(j) for j in jobs]
-    for rec, ls in results:
+    for cmd, name in session.commands:
+        try:
+            rec, ls = run_command(
+                cmd, name, session.ideals[name], order, verify, max_escalation
+            )
+        except BinomialsError as exc:
+            raise CommandFailure(cmd, name, exc)
         records.append(rec)
         lines.extend(ls)
     if json_mode:
         doc = {"results": records}
         return json.dumps(doc, sort_keys=True, indent=1) + "\n"
     return "\n".join(lines) + "\n"
-
-
-def _run_one(job):
-    cmd, name, ideal, order, verify, max_escalation, parallel = job
-    try:
-        return run_command(cmd, name, ideal, order, verify, max_escalation, parallel)
-    except BinomialsError as exc:
-        raise CommandFailure(cmd, name, exc)
 
 
 class CommandFailure(BinomialsError):
@@ -491,8 +487,6 @@ def main(argv=None):
     ap.add_argument("--order", choices=["lex", "degrevlex"], default="degrevlex")
     ap.add_argument("--max-escalation", type=int, default=20, metavar="N",
                     help="bound for exponent-doubling loops")
-    ap.add_argument("--parallel", action="store_true",
-                    help="localize cells and primes in parallel worker processes")
     args = ap.parse_args(argv)
     try:
         text = open(args.file).read() if args.file else sys.stdin.read()
@@ -512,7 +506,6 @@ def main(argv=None):
             verify=args.verify,
             json_mode=args.json,
             max_escalation=args.max_escalation,
-            parallel=args.parallel,
         )
     except BinomialsError as exc:
         print(f"math error: {exc}", file=sys.stderr)

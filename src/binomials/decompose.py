@@ -1,14 +1,15 @@
 """Radical, cellular, associated-prime, hull, and primary decomposition.
 
 The cell scan underlying the radical and minimal-prime computations works
-per coordinate cell Z: substitute the off-cell variables by zero, saturate
-inside k[Z], and read off the partial character.  Decomposition proper runs
-the witness/standard-monomial machinery on cellular pieces, colons embedded
-primes away through quasi-power quotients, and certifies every output
-(exact intersection, primary test) before returning it.
+per coordinate cell Z: substitute the off-cell variables by zero in the
+reduced Groebner basis and read the partial character straight off the
+binomials that remain (ES Thm 2.1), with no Groebner run per cell.
+Decomposition proper runs the witness/standard-monomial machinery on
+cellular pieces, colons embedded primes away through quasi-power quotients,
+and certifies every output (exact intersection, primary test) before
+returning it.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 from math import lcm
 
@@ -17,12 +18,12 @@ from .errors import BinomialsError, EscalationLimit
 from .characters import (
     PartialCharacter,
     agreement_lattice,
+    cell_character,
     character_from_cellular,
     character_prime_ideal,
     character_saturations,
     ideal_from_character,
     p_saturation,
-    _character_of_saturated,
 )
 from .ideals import (
     Ideal,
@@ -34,7 +35,6 @@ from .ideals import (
     eliminate,
     intersect_all,
     quasi_power,
-    restrict_to_subring,
     saturate_monomial,
     saturation_exponent,
     standard_monomials,
@@ -42,21 +42,9 @@ from .ideals import (
     radical_membership,
     _ladder,
 )
-from .intlattice import Lattice
+from .intlattice import Lattice, _p_part
 from .poly import Polynomial
 from .scalars import scalar_order
-
-
-def _pmap(fn, jobs, parallel):
-    """Deterministic map, optionally over worker processes.
-
-    Jobs and results must be picklable; result order follows job order, so
-    parallel and serial runs agree.
-    """
-    if parallel and len(jobs) > 1:
-        with ProcessPoolExecutor() as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(j) for j in jobs]
 
 
 class CellularComponent:
@@ -107,36 +95,16 @@ class PrimaryTestReport:
 # the cell scan
 
 
-def _cell_restrict(i, cell):
-    """Substitute off-cell variables by zero; ideal in the subring on cell.
-
-    Returns (ideal, subring) or None when a generator collapses to a nonzero
-    constant (so I + M(cell-complement) is the unit ideal).
-    """
-    ring = i.ring
-    off = [v for v in range(ring.nvars) if v not in set(cell)]
-    gens = []
-    for g in i.gens:
-        h = g.substitute_zero(off)
-        if not h.terms:
-            continue
-        if not any(h.terms[0][0]) and len(h.terms) == 1:
-            return None
-        gens.append(h)
-    return restrict_to_subring(Ideal(ring, gens), cell)
-
-
 def cell_scan(i):
-    """All proper cells of I with their saturated cell ideals and characters.
+    """All proper cells of I with their characters, as (cell, rho) pairs.
 
-    Yields (cell, rho, saturated subring ideal, subring), largest cells
-    first.  The proper cells form a meet semilattice, so a cell whose
-    intersection with a known proper cell is known empty is skipped without
-    a Groebner run.
+    Largest cells first.  The proper cells form a meet semilattice, so a
+    cell whose intersection with a known proper cell is known empty is
+    skipped without reading its character.
     """
     ring = i.ring
     n = ring.nvars
-    field = ring.field
+    gens = i.gb().polys
     unit_cells = set()
     proper_cells = []
     out = []
@@ -151,23 +119,12 @@ def cell_scan(i):
             if pruned:
                 unit_cells.add(cs)
                 continue
-            restricted = _cell_restrict(i, cell)
-            if restricted is None:
+            rho = cell_character(gens, cell, ring.field)
+            if rho is None:
                 unit_cells.add(cs)
                 continue
-            jsub, sub = restricted
-            if jsub.is_zero():
-                rho = PartialCharacter.trivial(cell, field)
-                proper_cells.append(cs)
-                out.append((cell, rho, jsub, sub))
-                continue
-            sat = saturate_monomial(jsub, cell_product(sub, range(sub.nvars)))
-            if sat.is_unit():
-                unit_cells.add(cs)
-                continue
-            rho = _character_of_saturated(sat, cell, field)
             proper_cells.append(cs)
-            out.append((cell, rho, sat, sub))
+            out.append((cell, rho))
     return out
 
 
@@ -183,7 +140,7 @@ def radical(i):
     if i.is_zero() or i.is_unit():
         return i.canonical()
     pieces = []
-    for cell, rho, _, _ in cell_scan(i):
+    for _, rho in cell_scan(i):
         rho_p = p_saturation(rho)
         pieces.append(character_prime_ideal(ring, rho_p))
     out = intersect_all(pieces, ring)
@@ -203,7 +160,7 @@ def minimal_prime_entries(i):
         full = tuple(range(ring.nvars))
         return [(full, PartialCharacter.trivial(full, ring.field), i.canonical())]
     entries = []
-    for cell, rho, _, _ in cell_scan(i):
+    for cell, rho in cell_scan(i):
         rho_p = p_saturation(rho)
         _, sats = character_saturations(rho_p)
         for s in sats:
@@ -256,34 +213,26 @@ def is_cellular(i):
     return (True, cell)
 
 
-def _localize_cell_job(job):
-    ideal, cell, exps = job
-    return cellular_localize(ideal, cell, exps)
-
-
-def cellular_decomposition(i, max_escalation=20, parallel=False):
+def cellular_decomposition(i, max_escalation=20):
     """Cellular components with verified exact intersection.
 
     Starting exponents are the per-variable saturation exponents; all are
     doubled until the intersection identity holds (no a-priori certificate
-    exists, so the identity is checked each round).  Cells are independent
-    and may be localized in worker processes.
+    exists, so the identity is checked each round).
     """
     ring = i.ring
     if i.is_unit():
         return []
     if i.is_zero():
         return [CellularComponent(i.canonical(), tuple(range(ring.nvars)), (1,) * ring.nvars)]
-    proper = [cell for cell, _, _, _ in cell_scan(i)]
+    proper = [cell for cell, _ in cell_scan(i)]
     exps = []
     for v in range(ring.nvars):
         exps.append(max(saturation_exponent(i, ring.var(v)), 1))
     for _ in range(max_escalation):
         comps = []
-        localized = _pmap(
-            _localize_cell_job, [(i, cell, exps) for cell in proper], parallel
-        )
-        for cell, j in zip(proper, localized):
+        for cell in proper:
+            j = cellular_localize(i, cell, exps)
             if not j.is_unit():
                 comps.append(CellularComponent(j, cell, tuple(exps)))
         kept = []
@@ -441,16 +390,6 @@ def associated_primes(i, cell=None):
 # hull / localization at minimal primes (both colon cases)
 
 
-def _p_part(d, p):
-    if not p:
-        return 1
-    q = 1
-    while d % p == 0:
-        d //= p
-        q *= p
-    return q
-
-
 def _binomial_from_vector(ring, cell, m, value):
     n = ring.nvars
     plus = [0] * n
@@ -599,29 +538,18 @@ def _frobenius_power(p_ideal, q):
     return Ideal(ring, gens)
 
 
-def _char0_component_job(job):
-    j, cell, s, max_escalation = job
+def _component_hull(j, cell, extra, max_escalation):
+    """Hull of ((J + extra) : (∏ cell)^∞), the piece of J at one prime."""
     ring = j.ring
-    k_s = ideal_from_character(ring, s)
-    r = Ideal(ring, j.gens + k_s.gens)
-    r = saturate_monomial(r, cell_product(ring, cell))
+    r = saturate_monomial(Ideal(ring, j.gens + extra.gens), cell_product(ring, cell))
     return localize(r, r, cell, max_escalation)
 
 
-def _charp_component_job(job):
-    j, cell, s, q, max_escalation = job
-    ring = j.ring
-    pid = character_prime_ideal(ring, s)
-    r = Ideal(ring, j.gens + _frobenius_power(pid, q).gens)
-    r = saturate_monomial(r, cell_product(ring, cell))
-    return localize(r, r, cell, max_escalation)
-
-
-def _cellular_primary_components(comp, max_escalation=20, parallel=False):
+def _cellular_primary_components(comp, max_escalation=20):
     """Primary components of one cellular piece as (character, ideal) pairs.
 
-    Associated primes are processed independently (optionally in worker
-    processes); the Frobenius exponent in char p escalates until the
+    In char 0 the component at the prime of s is the hull of J + I(s); in
+    char p, J + P^[q] with the Frobenius exponent q escalating until the
     intersection identity holds.
     """
     j = comp.ideal
@@ -631,26 +559,22 @@ def _cellular_primary_components(comp, max_escalation=20, parallel=False):
     ass = associated_prime_characters(j, cell, colons)
     p = ring.field.char
     if p == 0:
-        hulls = _pmap(
-            _char0_component_job,
-            [(j, cell, s, max_escalation) for s in ass],
-            parallel,
-        )
-        return list(zip(ass, hulls))
+        out = []
+        for s in ass:
+            k_s = ideal_from_character(ring, s)
+            out.append((s, _component_hull(j, cell, k_s, max_escalation)))
+        return out
     for e in range(1, max_escalation + 1):
-        q = p**e
-        hulls = _pmap(
-            _charp_component_job,
-            [(j, cell, s, q, max_escalation) for s in ass],
-            parallel,
-        )
-        out = list(zip(ass, hulls))
+        out = []
+        for s in ass:
+            frob = _frobenius_power(character_prime_ideal(ring, s), p**e)
+            out.append((s, _component_hull(j, cell, frob, max_escalation)))
         if intersect_all([qq for _, qq in out], ring) == j:
             return out
     raise EscalationLimit("Frobenius exponent escalation exceeded bound")
 
 
-def primary_decomposition(i, max_escalation=20, certify=True, parallel=False):
+def primary_decomposition(i, max_escalation=20, certify=True):
     """Minimal binomial primary decomposition (cellular pass, then hulls).
 
     Every returned component passes the primary test; the intersection is
@@ -663,10 +587,10 @@ def primary_decomposition(i, max_escalation=20, certify=True, parallel=False):
     if cellular_ok:
         cells = [CellularComponent(i.canonical(), cell, (1,) * ring.nvars)]
     else:
-        cells = cellular_decomposition(i, max_escalation, parallel)
+        cells = cellular_decomposition(i, max_escalation)
     raw = []
     for comp in cells:
-        for s, q_s in _cellular_primary_components(comp, max_escalation, parallel):
+        for s, q_s in _cellular_primary_components(comp, max_escalation):
             raw.append(PrimaryComponent(q_s, character_prime_ideal(ring, s), s, comp.cell))
     # deduplicate primes across cells (distinct cells have disjoint
     # associated primes, but non-associated extras can recur)
@@ -739,14 +663,8 @@ def circuit_ideal(ring, rho):
 
 def is_face(p_ideal, cell):
     """Z is a face of the toric prime P iff the cell ideal P_Z is proper."""
-    restricted = _cell_restrict(p_ideal, tuple(sorted(cell)))
-    if restricted is None:
-        return False
-    jsub, sub = restricted
-    if jsub.is_zero():
-        return True
-    sat = saturate_monomial(jsub, cell_product(sub, range(sub.nvars)))
-    return not sat.is_unit()
+    cell = tuple(sorted(cell))
+    return cell_character(p_ideal.gb().polys, cell, p_ideal.ring.field) is not None
 
 
 def unmixed_decomposition(i, cell=None, max_escalation=20):

@@ -41,6 +41,17 @@ class NonzerodivisorViolated(BinomialsError):
     """The leading monomial of a binomial divisor is a zerodivisor."""
 
 
+class InconsistentCharacter(BinomialsError, ValueError):
+    """Character values disagree on an integer relation among the lattice
+    generators, so no character takes them (the binomials generate the unit
+    Laurent ideal)."""
+
+
+class NotBinomial(BinomialsError):
+    """The input ideal is not binomial: its reduced Groebner basis has an
+    element with three or more terms (ES §1)."""
+
+
 class MonomialInIdeal(BinomialsError):
     """A cell ideal contains a monomial in the cell variables, so its
     Laurent image is the unit ideal and carries no partial character."""

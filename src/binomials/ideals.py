@@ -16,6 +16,7 @@ from .errors import (
     NotTwoTerm,
 )
 from .groebner import groebner_basis
+from .intlattice import _p_part
 from .poly import (
     DEGREVLEX,
     Polynomial,
@@ -99,21 +100,8 @@ class Ideal:
         """Ideal regenerated by its reduced degrevlex GB."""
         return Ideal(self.ring, self.gb().polys)
 
-    def __reduce__(self):
-        # caches hold closures; rebuild from generators on unpickle
-        return (Ideal, (self.ring, self.gens))
-
     def __repr__(self):
         return f"Ideal({', '.join(render_poly(g) for g in self.gens) or '0'})"
-
-
-def ideal_equal(i, j):
-    return i == j
-
-
-def ideal_contains(i, j):
-    """Whether i contains j (as sets: j ⊆ i)."""
-    return i.contains(j)
 
 
 def membership(f, i):
@@ -165,13 +153,6 @@ def restrict_to_subring(i, keep):
         index_map[v] = pos
     gens = [g.project(sub, index_map) for g in i.gens]
     return Ideal(sub, gens), sub
-
-
-def embed_from_subring(i, ring, positions):
-    """Inverse of restrict_to_subring: positions[j] = index in `ring`."""
-    index_map = list(positions)
-    gens = [g.project(ring, index_map) for g in i.gens]
-    return Ideal(ring, gens)
 
 
 def _with_aux(i, build):
@@ -441,15 +422,8 @@ def colon_quasipower_ratio(i, b, d, e, strict=True):
     """
     if d % e:
         raise ValueError("need e | d")
-    p = i.ring.field.char
-    if p:
-        q = 1
-        dd = d
-        while dd % p == 0:
-            dd //= p
-            q *= p
-        if e % q:
-            raise ValueError("need q | e for the p-part q of d")
+    if e % _p_part(d, i.ring.field.char):
+        raise ValueError("need q | e for the p-part q of d")
     check_nonzerodivisor_lead(i, b)
     if d == e:
         return i.canonical()

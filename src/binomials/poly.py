@@ -573,9 +573,10 @@ class _PolyParser:
                     self.pos = save
                 else:
                     den = int(self.text[start : self.pos])
-                    if ring.field.char == 0:
+                    try:
                         return ring.scalar(Fraction(num, den))
-                    return ring.scalar(Fraction(num, den))
+                    except ZeroDivisionError:
+                        self.error(f"zero denominator in {num}/{den}")
             return ring.scalar(num)
         if ch.isalpha() or ch == "_":
             start = self.pos

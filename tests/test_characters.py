@@ -1,12 +1,18 @@
 import random
+import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+sys.path.insert(0, __file__.rsplit("/", 1)[0])
+
+from f5_oracle import all_ideal_generating_sets
 from binomials.characters import (
     PartialCharacter,
     agreement_lattice,
     binomial_prime_components,
+    cell_character,
     character_from_cellular,
     character_saturations,
     ideal_from_character,
@@ -15,7 +21,13 @@ from binomials.characters import (
     relation_lattice,
 )
 from binomials.errors import MonomialInIdeal, RootNotInField
-from binomials.ideals import Ideal, intersect_all
+from binomials.ideals import (
+    Ideal,
+    cell_product,
+    intersect_all,
+    restrict_to_subring,
+    saturate_monomial,
+)
 from binomials.intlattice import Lattice
 from binomials.poly import Ring
 from binomials.scalars import QQ, FiniteField, zeta
@@ -226,3 +238,76 @@ def test_rotation_ideal_full_torus_character():
     assert [0, 0, 0, 3] in rho.lattice
     assert rho.value((0, 0, 0, 3)) == Fraction(1)
     assert [0, 0, 0, 1] not in rho.lattice
+
+
+def _saturated_cell_character(ideal, cell):
+    """Reference for cell_character: restrict to the cell, saturate by the
+    cell product with a Groebner run, read rho off the saturated basis."""
+    ring = ideal.ring
+    off = [v for v in range(ring.nvars) if v not in cell]
+    restricted = Ideal(ring, [g.substitute_zero(off) for g in ideal.gens])
+    sub_ideal, sub = restrict_to_subring(restricted, cell)
+    sat = saturate_monomial(sub_ideal, cell_product(sub, range(sub.nvars)))
+    if sat.is_unit():
+        return None
+    vectors, values = [], []
+    for g in sat.gb():
+        (ea, ca), (eb, cb) = g.terms
+        vectors.append(tuple(x - y for x, y in zip(ea, eb)))
+        values.append(-(cb / ca))
+    return PartialCharacter.from_generators(cell, vectors, values, ring.field)
+
+
+def _random_binomial_sets(rng, ring, count):
+    n = ring.nvars
+    coeffs = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3)]
+    out = []
+    for _ in range(count):
+        gens = []
+        for _ in range(rng.choice((2, 3))):
+            a = tuple(rng.randrange(3) for _ in range(n))
+            b = tuple(rng.randrange(3) for _ in range(n))
+            g = ring.monomial(a) - ring.monomial(b, rng.choice(coeffs))
+            if g.terms:
+                gens.append(g)
+        out.append(Ideal(ring, gens))
+    return out
+
+
+def test_cell_character_matches_saturation():
+    F5 = FiniteField(5)
+    R5 = Ring(F5, ["x", "y"])
+    rng = random.Random(2)
+    ideals = []
+    for gs in rng.sample(all_ideal_generating_sets(), 60):
+        polys = []
+        for (e1, c1, e2, c2) in gs:
+            p = R5.monomial(e1, c1)
+            if e2 is not None:
+                p = p + R5.monomial(e2, c2)
+            polys.append(p)
+        ideals.append(Ideal(R5, polys))
+    R3 = Ring(QQ, ["x", "y", "z"])
+    ideals += _random_binomial_sets(rng, R3, 15)
+    x, y, z = (R3.var(i) for i in range(3))
+    ideals.append(Ideal(R3, (x**2 - y**2, x * y - 1, z * x - z * y)))
+    units = proper = 0
+    for ideal in ideals:
+        n = ideal.ring.nvars
+        for size in range(n + 1):
+            for cell in combinations(range(n), size):
+                expected = _saturated_cell_character(ideal, cell)
+                got = cell_character(ideal.gb().polys, cell, ideal.ring.field)
+                assert got == expected, (ideal, cell)
+                if got is None:
+                    units += 1
+                else:
+                    proper += 1
+    assert units and proper
+    # a Groebner basis meets a monomial first; other binomial generating
+    # sets can reach the unit ideal through values that clash on a
+    # relation: (2,-2) = 2*(1,-1) but 2 != 1^2
+    R2 = Ring(QQ, ["x", "y"])
+    x, y = R2.var(0), R2.var(1)
+    assert cell_character([x - y, x**2 - 2 * y**2], (0, 1), QQ) is None
+    assert cell_character([x - y, x**2 - y**2], (0, 1), QQ) is not None

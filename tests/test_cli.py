@@ -32,6 +32,12 @@ def test_parse_errors():
         parse_session("ring QQ[x]; ideal I = y; radical I;")
     with pytest.raises(BadFieldSpec):
         parse_session("ring QQ[x, z4];")  # reserved scalar token
+    for bad in ("ring QQ[x,y]; ideal I = x^2 - 1/0*y;",
+                "ring GF(5)[x,y]; ideal I = x^2 - 1/5*y;",
+                # (2,-2) = 2*(1,-1) but -1 != 1^2
+                "ring QQ[x,y]; ideal L = character [x,y] [[1,-1],[2,-2]] [1,-1];"):
+        with pytest.raises(ParseError):
+            parse_session(bad)
 
 
 def test_session_roundtrip():
@@ -129,12 +135,20 @@ def test_main_exit_codes(tmp_path):
     assert main([str(missing)]) == 1
 
 
-def test_parallel_matches_serial():
-    text = ("ring QQ[x,y]; ideal I = x^3-y^3, x^4*y^5-x^5*y^4; "
-            "radical I; minprimes I; primary I;")
-    serial = run(text, json_mode=True)
-    parallel = run(text, json_mode=True, parallel=True)
-    assert serial == parallel
+@pytest.mark.parametrize("text, code, tag", [
+    ("ring QQ[x,y]; ideal I = x^2+y+1; radical I;", 2, "[NotBinomial]"),
+    ("ring QQ[x,y]; ideal I = x^2 - 1/0*y; radical I;", 1, "parse error"),
+])
+def test_bad_input_is_a_named_error(text, code, tag):
+    proc = subprocess.run(
+        [sys.executable, "-m", "binomials.cli"],
+        input=text,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code
+    assert tag in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_entrypoint_subprocess():

@@ -423,15 +423,3 @@ def test_non_radical_mixed_ideal():
     assert len(mp) == 3
     for e in expected:
         assert any(p == e for p in mp)
-
-
-def test_parallel_matches_serial_decomposition():
-    R = Ring(QQ, ["x", "y"])
-    x, y = R.var(0), R.var(1)
-    I = Ideal(R, (x**3 - y**3, x**4 * y**5 - x**5 * y**4))
-    serial = primary_decomposition(I)
-    dup = Ideal(R, I.gens)
-    par = primary_decomposition(dup, parallel=True)
-    assert [(pc.ideal.key(), pc.prime.key(), pc.embedded) for pc in serial] == [
-        (pc.ideal.key(), pc.prime.key(), pc.embedded) for pc in par
-    ]
