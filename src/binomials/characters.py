@@ -100,13 +100,6 @@ class PartialCharacter:
         vals = [self.value(row) for row in sublattice.basis]
         return PartialCharacter(self.cell, sublattice, vals, self.field)
 
-    def scaled(self, d):
-        """Restriction to d * L, the rescaling used by quasi-power colons."""
-        rows = [[d * x for x in row] for row in self.lattice.basis]
-        return PartialCharacter.from_generators(
-            self.cell, rows, [v**d for v in self.values], self.field, verify=False
-        )
-
     def key(self):
         return (self.cell, self.lattice.basis, tuple(scalar_key(v) for v in self.values))
 

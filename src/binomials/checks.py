@@ -13,6 +13,3 @@ def enable(on=True):
     global ENABLED
     ENABLED = on
 
-
-def enabled():
-    return ENABLED

@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 usage/parse error, 2 mathematical error.
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .errors import (
     BadFieldSpec,
@@ -46,8 +47,8 @@ from .decompose import (
     radical,
 )
 from .ideals import Ideal, intersect_all
-from .poly import DEGREVLEX, LEX, Ring, render_poly
-from .scalars import CycloField, FiniteField, parse_scalar
+from .poly import DEGREVLEX, LEX, Ring, parse_scalar, render_poly
+from .scalars import QQ, CycloField, FiniteField
 
 COMMANDS = (
     "radical",
@@ -134,43 +135,26 @@ def _parse_field(text, pos):
         modulus_text = None
         if ";" in inner:
             inner, modulus_text = (s.strip() for s in inner.split(";", 1))
-        if "^" in inner:
-            p_text, k_text = inner.split("^", 1)
-            p, k = int(p_text), int(k_text)
-        else:
-            p, k = int(inner), 1
+        p_text, caret, k_text = inner.partition("^")
+        try:
+            p, k = int(p_text), int(k_text) if caret else 1
+        except ValueError:
+            raise BadFieldSpec(f"bad field size in {text!r}", *pos)
         modulus = None
         if modulus_text is not None:
-            modulus = _parse_modulus(modulus_text, p, k, pos)
+            # a monic polynomial in t with integer coefficients, reduced mod p
+            m = Ring(QQ, ("t",)).parse(modulus_text)
+            if m.total_degree() > k or not all(
+                isinstance(c, Fraction) and c.denominator == 1 for _, c in m.terms
+            ):
+                raise BadFieldSpec(f"modulus needs integer coefficients and degree <= {k}", *pos)
+            modulus = tuple(int(m.coefficient_of((e,))) % p for e in range(k + 1))
         try:
             field = FiniteField(p, k, modulus)
         except ValueError as exc:
             raise BadFieldSpec(str(exc), *pos)
         return field, text
     raise BadFieldSpec(f"unknown field {text!r}", *pos)
-
-
-def _parse_modulus(text, p, k, pos):
-    """Parse a monic modulus like t^3+t+1 into ascending coefficients."""
-    coeffs = [0] * (k + 1)
-    s = text.replace("-", "+-").replace(" ", "")
-    for chunk in s.split("+"):
-        if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:]
-        if "t" not in chunk:
-            coeffs[0] = (coeffs[0] + sign * int(chunk)) % p
-            continue
-        c_text, _, rest = chunk.partition("t")
-        c = int(c_text.rstrip("*")) if c_text.rstrip("*") else 1
-        e = int(rest[1:]) if rest.startswith("^") else 1
-        if e > k:
-            raise BadFieldSpec(f"modulus degree exceeds {k}", *pos)
-        coeffs[e] = (coeffs[e] + sign * c) % p
-    return tuple(coeffs)
 
 
 def _parse_character_block(rhs, ring, pos):
@@ -196,15 +180,24 @@ def _parse_character_block(rhs, ring, pos):
         raise ParseError("character block needs [vars] [rows] [values]", *pos)
     names = [s.strip() for s in blocks[0].split(",") if s.strip()]
     cell = tuple(ring.index(nm) for nm in names)
+    if len(set(cell)) != len(cell):
+        raise ParseError("character cell repeats a variable", *pos)
     rows = []
     for row_text in blocks[1].split("],"):
-        row_text = row_text.replace("[", "").replace("]", "")
-        if row_text.strip():
-            rows.append([int(x) for x in row_text.split(",")])
+        row_text = row_text.replace("[", "").replace("]", "").strip()
+        if row_text:
+            try:
+                rows.append([int(x) for x in row_text.split(",")])
+            except ValueError:
+                raise ParseError(f"lattice row [{row_text}] is not integer", *pos)
+            if len(rows[-1]) != len(cell):
+                raise ParseError(f"lattice row [{row_text}] needs {len(cell)} entries", *pos)
     values = []
     for v in blocks[2].split(","):
         if v.strip():
             values.append(parse_scalar(v.strip(), ring.field))
+            if not values[-1]:
+                raise ParseError("character values lie in k*, not 0", *pos)
     if len(values) != len(rows):
         raise ParseError("need one value per lattice row", *pos)
     try:

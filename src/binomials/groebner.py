@@ -165,8 +165,6 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None):
         deg, i, j, l = heappop(heap)
         treated.add((i, j))
         lmi, lmj = lms[i], lms[j]
-        if mono_lcm(lmi, lmj) != l:
-            continue
         # criterion 1: coprime leading monomials
         if mono_mul(lmi, lmj) == l:
             continue
@@ -208,20 +206,14 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None):
     min_lms = [lms[i] for i in kept]
     min_polys = [basis[i] for i in kept]
 
-    # tail-reduce to the reduced basis (iterate to a fixpoint)
-    changed = True
-    while changed:
-        changed = False
-        for t in range(len(min_polys)):
-            other_lms = min_lms[:t] + min_lms[t + 1 :]
-            other_terms = min_polys[:t] + min_polys[t + 1 :]
-            red = _reduce_prepared(min_polys[t], other_lms, other_terms, keyf)
-            if red != min_polys[t]:
-                lead = red[0]
-                if lead[2] != ring.field.one:
-                    red = [(k, e, c / lead[2]) for k, e, c in red]
-                min_polys[t] = red
-                changed = True
+    # tail-reduce to the reduced basis.  One pass suffices: no leading
+    # monomial of a minimal basis divides another, so each leading term
+    # (monic) survives its reduction and the set of leading monomials that
+    # decides reducibility never changes.
+    for t in range(len(min_polys)):
+        other_lms = min_lms[:t] + min_lms[t + 1 :]
+        other_terms = min_polys[:t] + min_polys[t + 1 :]
+        min_polys[t] = _reduce_prepared(min_polys[t], other_lms, other_terms, keyf)
 
     pairs = sorted(zip(min_lms, min_polys), key=lambda t: keyf(t[0]))
     out = [
@@ -247,7 +239,3 @@ def _verify_buchberger(gb):
                 j
             ].mul_term(mono_div(l, lj), gb.ring.field.one)
             assert gb.contains(s), "Buchberger criterion failed on final basis"
-
-
-def normal_form(f, gb):
-    return gb.normal_form(f)

@@ -104,10 +104,6 @@ class Ideal:
         return f"Ideal({', '.join(render_poly(g) for g in self.gens) or '0'})"
 
 
-def membership(f, i):
-    return i.contains(f)
-
-
 def is_binomial_ideal(gens, ring=None):
     if isinstance(gens, Ideal):
         return gens.is_binomial()

@@ -266,13 +266,6 @@ class Lattice:
         self.basis = tuple(tuple(r) for r in reduced)
 
     @classmethod
-    def _raw(cls, ambient, hnf_rows):
-        inst = object.__new__(cls)
-        inst.ambient = ambient
-        inst.basis = tuple(tuple(r) for r in hnf_rows)
-        return inst
-
-    @classmethod
     def full(cls, n):
         return cls(n, _identity(n))
 

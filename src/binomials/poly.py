@@ -9,7 +9,7 @@ order is active.
 from fractions import Fraction
 
 from .errors import FieldMismatch, ParseError, UnknownVariable
-from .scalars import CycloElement, _ScalarParser, render_scalar, scalar_key, zeta
+from .scalars import QQ, CycloElement, render_scalar, scalar_key, zeta
 
 
 def mono_mul(a, b):
@@ -30,10 +30,6 @@ def mono_lcm(a, b):
 
 def mono_deg(a):
     return sum(a)
-
-
-def mono_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
 
 
 class MonomialOrder:
@@ -192,9 +188,6 @@ class Ring:
         keep = sorted(keep)
         return Ring(self.field, tuple(self.names[i] for i in keep))
 
-    def with_field(self, field):
-        return Ring(field, self.names)
-
     def __eq__(self, other):
         return (
             isinstance(other, Ring)
@@ -241,10 +234,6 @@ class Polynomial:
     @property
     def is_binomial(self):
         return len(self.terms) <= 2
-
-    @property
-    def is_term(self):
-        return len(self.terms) <= 1
 
     def lt(self, order=None):
         """Leading (exp, coeff) under the order (canonical if omitted)."""
@@ -417,12 +406,6 @@ class Polynomial:
                 del d[key]
         return Polynomial.from_dict(new_ring, d)
 
-    def map_coefficients(self, new_ring, fn=None):
-        f = fn if fn is not None else new_ring.coerce_scalar
-        return Polynomial.from_dict(
-            new_ring, {e: f(c) for e, c in self.terms}
-        )
-
 
 # ---------------------------------------------------------------------------
 # text form
@@ -466,9 +449,33 @@ def render_poly(p):
     return "".join(chunks)
 
 
+def parse_scalar(text, field=QQ):
+    """Read a scalar in the expression grammar of ``Ring.parse``.
+
+    An optional ``@FIELD`` suffix, as ``render_scalar`` writes it, must name
+    `field`.
+    """
+    body, at, tag = text.partition("@")
+    if at and tag.strip() != repr(field):
+        msg = f"scalar tagged @{tag.strip()} read in {field!r}"
+        raise ParseError(msg, 1, len(body) + 1)
+    p = Ring(field, ()).parse(body)
+    return p.terms[0][1] if p.terms else field.zero
+
+
 class _PolyParser:
-    """Polynomial grammar: terms joined by +/-; term = [coeff *] monomial;
-    monomial = var tokens with optional ^exponent joined by *."""
+    """Recursive descent over the one expression grammar of the package:
+
+        expr   = [+-]* term {(+|-) term}
+        term   = factor {(*|/) factor}
+        factor = -factor | atom {^ [-]digits}
+        atom   = ( expr ) | integer | variable | zN | t
+
+    ``zN`` (zeta_N) is a scalar token in characteristic 0, ``t`` (the field
+    generator) in GF(p^k) with k > 1.  A parenthesized expression, a divisor
+    and the base of a negative power must each be a nonzero constant, so
+    every accepted text is a polynomial.
+    """
 
     def __init__(self, text, ring):
         self.text = text
@@ -487,6 +494,19 @@ class _PolyParser:
     def peek(self):
         self.skip()
         return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def digits(self):
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        return self.text[start : self.pos]
+
+    def nonzero_constant(self, p, start, what):
+        """The value of `p`, parsed from `start`; it must be a nonzero constant."""
+        if len(p.terms) != 1 or any(p.terms[0][0]):
+            self.pos = start
+            self.error(f"{what} must be a nonzero constant")
+        return p.terms[0][1]
 
     def parse(self):
         p = self.expr()
@@ -513,23 +533,37 @@ class _PolyParser:
 
     def term(self):
         p = self.factor()
-        while self.peek() == "*":
-            self.pos += 1
-            p = p * self.factor()
-        return p
-
-    def factor(self):
-        base = self.atom()
-        while self.peek() == "^":
+        while self.peek() in ("*", "/"):
+            op = self.text[self.pos]
             self.pos += 1
             self.skip()
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if start == self.pos:
+            q = self.factor()
+            if op == "*":
+                p = p * q
+            else:
+                p = p * (self.ring.field.one / self.nonzero_constant(q, start, "a divisor"))
+        return p
+
+    def factor(self):
+        if self.peek() == "-":
+            self.pos += 1
+            return -self.factor()
+        start = self.pos
+        p = self.atom()
+        while self.peek() == "^":
+            self.pos += 1
+            self.skip()
+            negative = self.text.startswith("-", self.pos)
+            self.pos += negative
+            e = self.digits()
+            if not e:
                 self.error("missing exponent")
-            base = base ** int(self.text[start:self.pos])
-        return base
+            if negative:
+                c = self.nonzero_constant(p, start, "the base of a negative power")
+                p = self.ring.scalar(self.ring.field.one / c)
+            p = p ** int(e)
+        return p
 
     def atom(self):
         ring = self.ring
@@ -537,47 +571,16 @@ class _PolyParser:
         if not ch:
             self.error("unexpected end of input")
         if ch == "(":
-            # parenthesized scalar expression
-            depth = 0
-            j = self.pos
-            while j < len(self.text):
-                if self.text[j] == "(":
-                    depth += 1
-                elif self.text[j] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                j += 1
-            if depth:
-                self.error("unbalanced parenthesis")
-            inner = self.text[self.pos + 1 : j]
-            self.pos = j + 1
-            try:
-                c = _ScalarParser(inner, ring.field).parse()
-            except Exception as exc:
-                self.error(f"bad scalar {inner!r}: {exc}")
-            return ring.scalar(c)
-        if ch.isdigit():
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            num = int(self.text[start : self.pos])
-            if self.peek() == "/":
-                save = self.pos
-                self.pos += 1
-                self.skip()
-                start = self.pos
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                    self.pos += 1
-                if start == self.pos:
-                    self.pos = save
-                else:
-                    den = int(self.text[start : self.pos])
-                    try:
-                        return ring.scalar(Fraction(num, den))
-                    except ZeroDivisionError:
-                        self.error(f"zero denominator in {num}/{den}")
-            return ring.scalar(num)
+            self.pos += 1
+            p = self.expr()
+            if self.peek() != ")":
+                self.error("unbalanced parenthesis")
+            self.pos += 1
+            self.nonzero_constant(p, start, "a parenthesized expression")
+            return p
+        if ch.isdecimal():
+            return ring.scalar(int(self.digits()))
         if ch.isalpha() or ch == "_":
             start = self.pos
             while self.pos < len(self.text) and (
@@ -587,7 +590,7 @@ class _PolyParser:
             name = self.text[start : self.pos]
             if name in ring._index:
                 return ring.var(name)
-            if ring.field.char == 0 and len(name) > 1 and name[0] == "z" and name[1:].isdigit():
+            if ring.field.char == 0 and name[0] == "z" and name[1:].isdecimal() and int(name[1:]):
                 return ring.scalar(zeta(int(name[1:])))
             if ring.field.char != 0 and name == "t":
                 f = ring.field

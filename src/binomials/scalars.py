@@ -508,14 +508,6 @@ def scalar_order(a):
     return 1
 
 
-def is_root_of_unity(a):
-    if isinstance(a, Fraction):
-        return abs(a) == 1
-    n = a.order
-    e = lcm(2, n)
-    return a**e == 1
-
-
 def unit_decompose(a):
     """Write a nonzero char-0 scalar as q * zeta_o^j with q in QQ_{>0}.
 
@@ -586,7 +578,6 @@ def _ff_poly_is_irreducible(coeffs, p):
         return out
 
     def polypow_x(e):
-        result = [0, 1]
         base = [0, 1]
         # compute x^e mod f by binary powering on the exponent e
         result = [1]
@@ -654,6 +645,10 @@ class FiniteField:
     _registry = {}
 
     def __new__(cls, p, k=1, modulus=None):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if k < 1:
+            raise ValueError(f"extension degree {k} is not positive")
         if modulus is None:
             modulus = default_modulus(p, k)
         key = (p, k, tuple(modulus))
@@ -665,8 +660,6 @@ class FiniteField:
         return inst
 
     def _init(self, p, k, modulus):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         if len(modulus) != k + 1 or modulus[k] != 1:
             raise ValueError("modulus must be monic of degree k")
         if not _ff_poly_is_irreducible(list(modulus), p):
@@ -702,7 +695,6 @@ class FiniteField:
     def elements(self):
         """All field elements in deterministic (lexicographic) order."""
         out = [self.zero]
-        stack = [(0,) * self.k]
         total = self.p**self.k
         for idx in range(1, total):
             coeffs = []
@@ -1000,18 +992,6 @@ def field_arith(a, b, op):
     raise ValueError(f"unknown op {op!r}")
 
 
-def root_of_unity(field, n, j=1):
-    """zeta_n^j in the given field; enlarges the declared order in char 0."""
-    if field.char == 0:
-        return zeta(n, j)
-    return field.root_of_unity(n, j)
-
-
-def dth_root(field, c, d):
-    """All exact d-th roots of c available in (an extension of) the field."""
-    return field.dth_roots(c, d)
-
-
 def scalar_key(a):
     """Canonical hashable key of a scalar, stable across stored orders."""
     if isinstance(a, int):
@@ -1022,7 +1002,7 @@ def scalar_key(a):
 
 
 # ---------------------------------------------------------------------------
-# text rendering / parsing of scalars
+# text rendering of scalars
 
 
 def _render_qpoly(coeffs, varname):
@@ -1069,121 +1049,3 @@ def render_scalar(a, gf_suffix=True):
         tag = f"@GF({f.p}^{f.k})" if f.k > 1 else f"@GF({f.p})"
         return body + tag
     raise TypeError(f"not a scalar: {a!r}")
-
-
-class _ScalarParser:
-    """Recursive-descent parser for the scalar grammar.
-
-    atoms: integers, z<N> (char 0), t (char p); operators + - * / ^ and
-    parentheses.  An optional @GF(p^k) suffix is accepted and checked.
-    """
-
-    def __init__(self, text, field):
-        self.text = text
-        self.pos = 0
-        self.field = field
-
-    def parse(self):
-        value = self.expr()
-        self.skip()
-        if self.pos < len(self.text) and self.text[self.pos] == "@":
-            tag = self.text[self.pos:]
-            expected = repr(self.field)
-            if tag[1:] not in (expected, expected.replace("GF", "GF")):
-                if f"@{expected}" != tag:
-                    raise RootNotInField(f"scalar tagged {tag} parsed in {expected}")
-            self.pos = len(self.text)
-        if self.pos != len(self.text):
-            raise ValueError(f"trailing input in scalar: {self.text[self.pos:]!r}")
-        return value
-
-    def skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expr(self):
-        sign = 1
-        while self.peek() and self.peek() in "+-":
-            if self.text[self.pos] == "-":
-                sign = -sign
-            self.pos += 1
-        value = self.term()
-        if sign < 0:
-            value = -value
-        while self.peek() and self.peek() in "+-":
-            op = self.text[self.pos]
-            self.pos += 1
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self):
-        value = self.factor()
-        while self.peek() and self.peek() in "*/":
-            op = self.text[self.pos]
-            self.pos += 1
-            rhs = self.factor()
-            if op == "*":
-                value = value * rhs
-            else:
-                if not rhs:
-                    raise DivisionByZero("division by zero in scalar literal")
-                value = value / rhs
-        return value
-
-    def factor(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            self.skip()
-            neg = False
-            if self.peek() == "-":
-                neg = True
-                self.pos += 1
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            e = int(self.text[start:self.pos])
-            base = base ** (-e if neg else e)
-        return base
-
-    def atom(self):
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            value = self.expr()
-            if self.peek() != ")":
-                raise ValueError("unbalanced parenthesis in scalar")
-            self.pos += 1
-            return value
-        if ch == "-":
-            self.pos += 1
-            return -self.atom()
-        if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            value = int(self.text[start:self.pos])
-            if self.field.char == 0:
-                return Fraction(value)
-            return self.field.scalar(value)
-        if ch == "z" and self.field.char == 0:
-            self.pos += 1
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if start == self.pos:
-                raise ValueError("bad root-of-unity token")
-            return zeta(int(self.text[start:self.pos]))
-        if ch == "t" and self.field.char != 0:
-            self.pos += 1
-            return self.field.element((0, 1) if self.field.k > 1 else (0,))
-        raise ValueError(f"unexpected character {ch!r} in scalar")
-
-
-def parse_scalar(text, field=QQ):
-    return _ScalarParser(text, field).parse()

@@ -32,6 +32,9 @@ def test_parse_errors():
         parse_session("ring QQ[x]; ideal I = y; radical I;")
     with pytest.raises(BadFieldSpec):
         parse_session("ring QQ[x, z4];")  # reserved scalar token
+    for modulus in ("t^3+1/2*t+1", "t^4+t+1"):  # GF moduli: integer, degree <= k
+        with pytest.raises(BadFieldSpec):
+            parse_session(f"ring GF(2^3; {modulus})[x];")
     for bad in ("ring QQ[x,y]; ideal I = x^2 - 1/0*y;",
                 "ring GF(5)[x,y]; ideal I = x^2 - 1/5*y;",
                 # (2,-2) = 2*(1,-1) but -1 != 1^2
@@ -138,6 +141,17 @@ def test_main_exit_codes(tmp_path):
 @pytest.mark.parametrize("text, code, tag", [
     ("ring QQ[x,y]; ideal I = x^2+y+1; radical I;", 2, "[NotBinomial]"),
     ("ring QQ[x,y]; ideal I = x^2 - 1/0*y; radical I;", 1, "parse error"),
+    ("ring GF(a)[x];", 1, "parse error"),
+    ("ring GF(5^b)[x];", 1, "parse error"),
+    ("ring GF(2^0)[x];", 1, "parse error"),
+    ("ring GF(4^2)[x];", 1, "parse error"),
+    ("ring QQ[x]; ideal I = x - z0; radical I;", 1, "parse error"),
+    ("ring QQ[x,y]; ideal L = character [x,y] [[1,a]] [1]; radical L;", 1, "parse error"),
+    ("ring QQ[x]; ideal L = character [x] [[2,1]] [1]; radical L;", 1, "parse error"),
+    ("ring QQ[x,y]; ideal L = character [x,x] [[1,-1]] [1]; radical L;", 1, "parse error"),
+    ("ring QQ[x,y]; ideal L = character [x,y] [[1,-1]] [0]; radical L;", 1, "parse error"),
+    ("ring QQ[x,y]; ideal L = character [x,y] [[1,-1]] [1/0]; radical L;", 1, "parse error"),
+    ("ring GF(5)[x,y]; ideal L = character [x,y] [[1,-1]] [t]; radical L;", 1, "parse error"),
 ])
 def test_bad_input_is_a_named_error(text, code, tag):
     proc = subprocess.run(

@@ -3,16 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from binomials.errors import DivisionByZero, FieldMismatch, RootNotCyclotomic, RootNotInField
+from binomials.errors import (
+    DivisionByZero,
+    FieldMismatch,
+    ParseError,
+    RootNotCyclotomic,
+    RootNotInField,
+)
+from binomials.poly import Ring, parse_scalar
 from binomials.scalars import (
     QQ,
     FiniteField,
     cyclotomic_polynomial,
-    dth_root,
     field_arith,
-    parse_scalar,
     render_scalar,
-    root_of_unity,
     scalar_key,
     unit_decompose,
     zeta,
@@ -53,8 +57,8 @@ def test_cyclotomic_polynomials():
 
 
 def test_root_of_unity_orders():
-    assert root_of_unity(QQ, 2) == Fraction(-1)
-    z6 = root_of_unity(QQ, 6)
+    assert QQ.root_of_unity(2) == Fraction(-1)
+    z6 = QQ.root_of_unity(6)
     assert z6 * z6 - z6 + 1 == 0  # the minimal polynomial of a 6th root
     for n in (3, 4, 5, 6, 8, 12):
         z = zeta(n)
@@ -73,10 +77,10 @@ def test_root_of_unity_char_p():
 
 
 def test_dth_root_rational():
-    assert dth_root(QQ, Fraction(1), 2) == [Fraction(1), Fraction(-1)]
-    roots = dth_root(QQ, Fraction(-1), 2)
+    assert QQ.dth_roots(Fraction(1), 2) == [Fraction(1), Fraction(-1)]
+    roots = QQ.dth_roots(Fraction(-1), 2)
     assert len(roots) == 2 and all(r**2 == -1 for r in roots)
-    roots = dth_root(QQ, Fraction(8, 27), 3)
+    roots = QQ.dth_roots(Fraction(8, 27), 3)
     assert Fraction(2, 3) in roots
     for r in roots:
         assert r**3 == Fraction(8, 27)
@@ -94,9 +98,9 @@ def test_dth_root_frobenius():
 
 def test_dth_root_not_cyclotomic():
     with pytest.raises(RootNotCyclotomic):
-        dth_root(QQ, Fraction(2), 2)
+        QQ.dth_roots(Fraction(2), 2)
     with pytest.raises(RootNotCyclotomic):
-        dth_root(QQ, zeta(4) + 2, 3)
+        QQ.dth_roots(zeta(4) + 2, 3)
 
 
 def test_dth_root_verified_by_exponentiation():
@@ -107,7 +111,7 @@ def test_dth_root_verified_by_exponentiation():
         c = q * zeta(rnd.choice([1, 2, 3, 4, 6]), rnd.randint(0, 5))
         if not c:
             continue
-        roots = dth_root(QQ, c, d)
+        roots = QQ.dth_roots(c, d)
         assert len(roots) == d
         for r in roots:
             assert r**d == c
@@ -160,9 +164,23 @@ def test_render_parse_roundtrip():
         assert parse_scalar(render_scalar(s)) == s
     t = FiniteField(2, 3).element((1, 0, 1))
     assert render_scalar(t) == "t^2 + 1@GF(2^3)"
+    assert parse_scalar(render_scalar(t), FiniteField(2, 3)) == t
     F9 = FiniteField(3, 2)
     for c in F9.elements():
         assert parse_scalar(render_scalar(c, gf_suffix=False), F9) == c
+
+
+def test_expression_grammar():
+    R = Ring(QQ, ("x", "y"))
+    x, y = R.var("x"), R.var("y")
+    assert R.parse("x-2/3^2*y") == x - Fraction(2, 9) * y
+    assert R.parse("2^-1*x") == R.parse("1/2*x") == Fraction(1, 2) * x
+    assert R.parse("3*-x^2") == -3 * x**2  # unary minus binds looser than ^
+    for bad in ("x/y", "x^-1", "(x+1)*y"):
+        with pytest.raises(ParseError):
+            R.parse(bad)
+    with pytest.raises(ParseError):
+        parse_scalar("2@GF(7)", FiniteField(5))
 
 
 def test_finite_field_structure():
