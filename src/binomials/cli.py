@@ -88,31 +88,48 @@ class Session:
         )
 
 
-def _split_statements(text):
-    parts = []
+def _line_col(text, offset):
+    """1-based line and column of text[offset]."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _split_top(text, sep, start=0, end=None):
+    """text[start:end] cut at each `sep` outside brackets, as (piece, offset)
+    pairs: the stripped piece and its index in `text`.  The last pair is what
+    follows the final `sep`."""
+    end = len(text) if end is None else end
+    out = []
+
+    def cut(a, b):
+        piece = text[a:b]
+        out.append((piece.strip(), a + len(piece) - len(piece.lstrip())))
+
     depth = 0
-    cur = []
-    line, col = 1, 1
-    start = (1, 1)
-    for ch in text:
-        if ch == "\n":
-            line += 1
-            col = 0
-        col += 1
+    begin = start
+    for k in range(start, end):
+        ch = text[k]
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
-        if ch == ";" and depth == 0:
-            parts.append(("".join(cur).strip(), start))
-            cur = []
-            start = (line, col)
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        raise ParseError(f"missing ';' after {tail[:25]!r}", line, col)
-    return [(s, pos) for s, pos in parts if s]
+        elif ch == sep and depth == 0:
+            cut(begin, k)
+            begin = k + 1
+    cut(begin, end)
+    return out
+
+
+def _parse_piece(parse, text, piece, offset):
+    """parse(piece), with a ParseError located in the session `text`, where
+    `piece` starts at `offset`."""
+    try:
+        return parse(piece)
+    except ParseError as exc:
+        if exc.line is None:
+            raise
+        head = piece.split("\n")[: exc.line - 1]
+        inner = sum(len(s) + 1 for s in head) + exc.col - 1
+        raise type(exc)(exc.message, *_line_col(text, offset + inner)) from None
 
 
 def _parse_field(text, pos):
@@ -151,39 +168,34 @@ def _parse_field(text, pos):
             modulus = tuple(int(m.coefficient_of((e,))) % p for e in range(k + 1))
         try:
             field = FiniteField(p, k, modulus)
-        except ValueError as exc:
+        except (ValueError, BadFieldSpec) as exc:
             raise BadFieldSpec(str(exc), *pos)
         return field, text
     raise BadFieldSpec(f"unknown field {text!r}", *pos)
 
 
-def _parse_character_block(rhs, ring, pos):
-    # character [vars] [[row],[row]] [values]
-    rest = rhs[len("character"):].strip()
+def _parse_character_block(text, start, end, ring, pos):
+    # character [vars] [[row],[row]] [values], read from text[start:end]
     blocks = []
     depth = 0
-    cur = []
-    for ch in rest:
-        if ch == "[":
+    for k in range(start, end):
+        if text[k] == "[":
             depth += 1
             if depth == 1:
-                cur = []
-                continue
-        if ch == "]":
+                begin = k + 1
+        elif text[k] == "]":
             depth -= 1
             if depth == 0:
-                blocks.append("".join(cur))
-                continue
-        if depth >= 1:
-            cur.append(ch)
+                blocks.append((begin, k))
     if len(blocks) != 3:
         raise ParseError("character block needs [vars] [rows] [values]", *pos)
-    names = [s.strip() for s in blocks[0].split(",") if s.strip()]
+    (va, vb), (ra, rb), values_span = blocks
+    names = [s.strip() for s in text[va:vb].split(",") if s.strip()]
     cell = tuple(ring.index(nm) for nm in names)
     if len(set(cell)) != len(cell):
         raise ParseError("character cell repeats a variable", *pos)
     rows = []
-    for row_text in blocks[1].split("],"):
+    for row_text in text[ra:rb].split("],"):
         row_text = row_text.replace("[", "").replace("]", "").strip()
         if row_text:
             try:
@@ -193,9 +205,9 @@ def _parse_character_block(rhs, ring, pos):
             if len(rows[-1]) != len(cell):
                 raise ParseError(f"lattice row [{row_text}] needs {len(cell)} entries", *pos)
     values = []
-    for v in blocks[2].split(","):
-        if v.strip():
-            values.append(parse_scalar(v.strip(), ring.field))
+    for v, offset in _split_top(text, ",", *values_span):
+        if v:
+            values.append(_parse_piece(lambda t: parse_scalar(t, ring.field), text, v, offset))
             if not values[-1]:
                 raise ParseError("character values lie in k*, not 0", *pos)
     if len(values) != len(rows):
@@ -213,7 +225,13 @@ def parse_session(text):
     ideals = {}
     ideal_texts = {}
     commands = []
-    for stmt, pos in _split_statements(text):
+    *stmts, (tail, offset) = _split_top(text, ";")
+    if tail:
+        raise ParseError(f"missing ';' after {tail[:25]!r}", *_line_col(text, offset))
+    for stmt, offset in stmts:
+        if not stmt:
+            continue
+        pos = _line_col(text, offset)
         head, _, rest = stmt.partition(" ")
         head = head.strip()
         if head == "ring":
@@ -236,29 +254,14 @@ def parse_session(text):
             name = name.strip()
             if not eq or not name.isidentifier():
                 raise ParseError("ideal declaration needs NAME = generators", *pos)
+            rhs_start, end = offset + stmt.index("=") + 1, offset + len(stmt)
             rhs = rhs.strip()
             if rhs.startswith("character"):
-                ideals[name] = _parse_character_block(rhs, ring, pos)
+                ideals[name] = _parse_character_block(text, rhs_start, end, ring, pos)
                 ideal_texts[name] = rhs
             else:
-                gens = []
-                depth = 0
-                cur = []
-                chunks = []
-                for ch in rhs:
-                    if ch in "([":
-                        depth += 1
-                    elif ch in ")]":
-                        depth -= 1
-                    if ch == "," and depth == 0:
-                        chunks.append("".join(cur))
-                        cur = []
-                    else:
-                        cur.append(ch)
-                chunks.append("".join(cur))
-                for chunk in chunks:
-                    if chunk.strip():
-                        gens.append(ring.parse(chunk.strip()))
+                gens = [_parse_piece(ring.parse, text, g, g_offset)
+                        for g, g_offset in _split_top(text, ",", rhs_start, end) if g]
                 ideals[name] = Ideal(ring, gens)
                 ideal_texts[name] = ", ".join(render_poly(g) for g in ideals[name].gens)
         elif head in COMMANDS:
@@ -400,7 +403,7 @@ def run_command(cmd, name, ideal, order, verify, max_escalation):
         lines += ["hull = " + ", ".join(_gens_text(out, order))]
         lines += [f"binomial: {binom}"]
     elif cmd == "primary":
-        comps = primary_decomposition(ideal, max_escalation, certify=True)
+        comps = primary_decomposition(ideal, max_escalation)
         for pc in comps:
             pc.multiplicity = _laurent_multiplicity(pc)
         rec["field"] = repr(effective_field(ring, [pc.ideal for pc in comps], [pc.prime for pc in comps]))

@@ -218,56 +218,69 @@ def cellular_decomposition(i, max_escalation=20):
 
     Starting exponents are the per-variable saturation exponents; all are
     doubled until the intersection identity holds (no a-priori certificate
-    exists, so the identity is checked each round).
+    exists, so the identity is checked each round).  Redundant components
+    are then dropped by the localized test of `_prune_redundant`: a
+    Z-cellular piece is tested only against the pieces on cells containing Z.
     """
     ring = i.ring
     if i.is_unit():
         return []
     if i.is_zero():
         return [CellularComponent(i.canonical(), tuple(range(ring.nvars)), (1,) * ring.nvars)]
+    kept = _prune_redundant(_cellular_pieces(i, max_escalation), _cell_below, ring)
+    if checks.ENABLED:
+        cells = [c.cell for c in kept]
+        assert len(set(cells)) == len(cells)
+        assert intersect_all([c.ideal for c in kept], ring) == i
+    return kept
+
+
+def _cellular_pieces(i, max_escalation):
+    """One cellular localization per proper cell (largest cells first), with
+    the exponents doubled until the pieces intersect to exactly I."""
+    ring = i.ring
     proper = [cell for cell, _ in cell_scan(i)]
-    exps = []
-    for v in range(ring.nvars):
-        exps.append(max(saturation_exponent(i, ring.var(v)), 1))
+    exps = [max(saturation_exponent(i, ring.var(v)), 1) for v in range(ring.nvars)]
     for _ in range(max_escalation):
         comps = []
         for cell in proper:
             j = cellular_localize(i, cell, exps)
             if not j.is_unit():
                 comps.append(CellularComponent(j, cell, tuple(exps)))
-        kept = []
-        for a in comps:
-            minimal = True
-            for b in comps:
-                if a is not b and a.ideal.contains(b.ideal) and a.ideal != b.ideal:
-                    minimal = False
-                    break
-            if minimal:
-                kept.append(a)
-        total = intersect_all([c.ideal for c in kept], ring)
-        if total == i:
-            kept = _drop_redundant_cells(kept, i)
-            if checks.ENABLED:
-                cells = [c.cell for c in kept]
-                assert len(set(cells)) == len(cells)
-            return kept
+        if intersect_all([c.ideal for c in comps], ring) == i:
+            return comps
         exps = [2 * e for e in exps]
     raise EscalationLimit("cellular decomposition exponents exceeded escalation bound")
 
 
-def _drop_redundant_cells(kept, i):
-    """Delete intersection-redundant components, smallest cells first."""
-    kept = sorted(kept, key=lambda c: (len(c.cell), c.cell))
-    changed = True
-    while changed and len(kept) > 1:
-        changed = False
-        for idx in range(len(kept)):
-            others = [c.ideal for j, c in enumerate(kept) if j != idx]
-            if intersect_all(others, i.ring) == i:
-                kept.pop(idx)
-                changed = True
-                break
-    kept.sort(key=lambda c: (-len(c.cell), c.cell))
+def _cell_below(c, d):
+    """d survives localizing at the Z-cellular c: its cell strictly contains Z."""
+    return set(d.cell) > set(c.cell)
+
+
+def _prime_below(c, d):
+    """d survives localizing at the prime P of c: its prime lies inside P."""
+    return c.prime.contains(d.prime)
+
+
+def _prune_redundant(comps, below, ring):
+    """The members of `comps` that are not redundant, in their order.
+
+    Localizing at a member c turns the members not `below` it into units, so
+    c is redundant iff it contains the intersection of those below it (and is
+    kept if none is).  Primary: each other Q_j holds a power of some s_j in
+    P_j outside the prime P of c, and s·J ⊆ c with s = ∏ s_j forces J ⊆ c.
+    Cellular: each other member holds a power of a cell variable of c, a
+    nonzerodivisor modulo c.  This needs every member primary (cellular),
+    which `primary_decomposition` certifies and `cellular_localize` ensures.
+    As `below` is a strict partial order, a drop changes no other verdict,
+    so one pass drops exactly the members redundant at the start.
+    """
+    kept = list(comps)
+    for c in comps:
+        under = [d.ideal for d in kept if d is not c and below(c, d)]
+        if under and c.ideal.contains(intersect_all(under, ring)):
+            kept = [d for d in kept if d is not c]
     return kept
 
 
@@ -574,15 +587,35 @@ def _cellular_primary_components(comp, max_escalation=20):
     raise EscalationLimit("Frobenius exponent escalation exceeded bound")
 
 
-def primary_decomposition(i, max_escalation=20, certify=True):
+def primary_decomposition(i, max_escalation=20):
     """Minimal binomial primary decomposition (cellular pass, then hulls).
 
-    Every returned component passes the primary test; the intersection is
-    re-verified to equal the input exactly; redundant components are deleted.
+    Redundancy is decided locally: a P-primary candidate Q is dropped iff it
+    contains the intersection of the candidates whose primes lie inside P
+    (`_prune_redundant`).  That test assumes every candidate is primary, so
+    the certificates always run: the intersection must equal the input, and
+    every component must pass the primary test with its prime as radical.
     """
     ring = i.ring
     if i.is_unit():
         return []
+    comps = _prune_redundant(_primary_candidates(i, max_escalation), _prime_below, ring)
+    total = intersect_all([pc.ideal for pc in comps], ring)
+    if total != i:
+        raise BinomialsError("primary decomposition failed the intersection check")
+    for pc in comps:
+        report = primary_test(pc.ideal, pc.cell)
+        if not report.primary:
+            raise BinomialsError("component failed the primary certificate")
+        if report.radical != pc.prime:
+            raise BinomialsError("component radical differs from its prime")
+    return comps
+
+
+def _primary_candidates(i, max_escalation):
+    """Primary components of the cellular pieces, one per prime, ordered and
+    flagged minimal or embedded; redundant ones are still among them."""
+    ring = i.ring
     cellular_ok, cell = is_cellular(i)
     if cellular_ok:
         cells = [CellularComponent(i.canonical(), cell, (1,) * ring.nvars)]
@@ -609,43 +642,8 @@ def primary_decomposition(i, max_escalation=20, certify=True):
         else:
             by_prime[key] = pc
     comps = sorted(by_prime.values(), key=lambda pc: _char_sort_key(pc.char))
-    # minimal/embedded flags
     for pc in comps:
-        pc.embedded = any(
-            other is not pc and pc.prime.contains(other.prime) and pc.prime != other.prime
-            for other in comps
-        )
-    # remove redundant components (candidates: embedded ones only)
-    comps = _remove_redundant(comps, i)
-    if certify:
-        total = intersect_all([pc.ideal for pc in comps], ring)
-        if total != i:
-            raise BinomialsError("primary decomposition failed the intersection check")
-        for pc in comps:
-            report = primary_test(pc.ideal, pc.cell)
-            if not report.primary:
-                raise BinomialsError("component failed the primary certificate")
-            if report.radical != pc.prime:
-                raise BinomialsError("component radical differs from its prime")
-    return comps
-
-
-def _remove_redundant(comps, i):
-    changed = True
-    comps = list(comps)
-    while changed:
-        changed = False
-        for idx, pc in enumerate(comps):
-            if not pc.embedded:
-                continue
-            others = [c.ideal for j, c in enumerate(comps) if j != idx]
-            if not others:
-                continue
-            inter = intersect_all(others, i.ring)
-            if pc.ideal.contains(inter):
-                comps.pop(idx)
-                changed = True
-                break
+        pc.embedded = any(other is not pc and _prime_below(pc, other) for other in comps)
     return comps
 
 

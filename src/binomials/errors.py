@@ -69,6 +69,7 @@ class ParseError(BinomialsError):
     def __init__(self, message, line=None, col=None):
         loc = "" if line is None else f" at line {line}, column {col}"
         super().__init__(message + loc)
+        self.message = message
         self.line = line
         self.col = col
 

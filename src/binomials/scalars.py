@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import (
+    BadFieldSpec,
     DivisionByZero,
     FieldMismatch,
     RootNotCyclotomic,
@@ -60,10 +61,35 @@ def factorint(n):
     return out
 
 
+# Miller-Rabin with the 13 prime bases up to 41 is exact below the first
+# strong pseudoprime to all of them (Sorenson-Webster 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n):
+    """Deterministic Miller-Rabin, exact for n < 3.3*10^24 (BadFieldSpec above)."""
     if n < 2:
         return False
-    return factorint(n) == {n: 1}
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_LIMIT:
+        raise BadFieldSpec(f"primality of {n} is not decided above {_MR_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def integer_nth_root(x, n):

@@ -152,6 +152,10 @@ def test_main_exit_codes(tmp_path):
     ("ring QQ[x,y]; ideal L = character [x,y] [[1,-1]] [0]; radical L;", 1, "parse error"),
     ("ring QQ[x,y]; ideal L = character [x,y] [[1,-1]] [1/0]; radical L;", 1, "parse error"),
     ("ring GF(5)[x,y]; ideal L = character [x,y] [[1,-1]] [t]; radical L;", 1, "parse error"),
+    # a generator's error is located in the session, not in the generator
+    ("ring QQ[x,y];\nideal I = 2^-1*x - y, x/y;", 1, "line 2, column 25"),
+    ("ring QQ[x,y];\nideal L = character [x,y] [[1,-1]] [1@GF(5)];", 1, "line 2, column 38"),
+    ("ring GF(1000000000000000001)[x]; ideal I = x; radical I;", 1, "is not prime"),
 ])
 def test_bad_input_is_a_named_error(text, code, tag):
     proc = subprocess.run(
@@ -163,6 +167,11 @@ def test_bad_input_is_a_named_error(text, code, tag):
     assert proc.returncode == code
     assert tag in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_large_prime_field_header():
+    out = run("ring GF(1000000000000000003)[x]; ideal I = x; radical I;")
+    assert "radical = x" in out
 
 
 def test_cli_entrypoint_subprocess():

@@ -1,9 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from binomials.characters import PartialCharacter, ideal_from_character
 from binomials.decompose import (
+    _cell_below,
+    _cellular_pieces,
+    _prime_below,
+    _primary_candidates,
+    _prune_redundant,
     associated_primes,
     cellular_decomposition,
     circuit_ideal,
@@ -18,10 +24,11 @@ from binomials.decompose import (
     radical,
     unmixed_decomposition,
 )
+from binomials.errors import RootNotInField
 from binomials.ideals import Ideal, cell_product, intersect_all, saturate_monomial
 from binomials.intlattice import Lattice
 from binomials.poly import Ring
-from binomials.scalars import QQ, FiniteField
+from binomials.scalars import QQ, CycloField, FiniteField
 
 
 @pytest.fixture
@@ -423,3 +430,91 @@ def test_non_radical_mixed_ideal():
     assert len(mp) == 3
     for e in expected:
         assert any(p == e for p in mp)
+
+
+def _primary_pruned_by_all_others(comps, ring):
+    """Reference pruning: an embedded candidate is dropped when it contains
+    the intersection of all the other components; rescan after each drop."""
+    comps = list(comps)
+    changed = True
+    while changed:
+        changed = False
+        for idx, pc in enumerate(comps):
+            if not pc.embedded:
+                continue
+            others = [c.ideal for j, c in enumerate(comps) if j != idx]
+            if others and pc.ideal.contains(intersect_all(others, ring)):
+                comps.pop(idx)
+                changed = True
+                break
+    return comps
+
+
+def _cells_pruned_by_all_others(comps, ideal):
+    """Reference pruning: keep the inclusion-minimal pieces, then, smallest
+    cells first, drop a piece when the others still intersect to the ideal;
+    rescan after each drop and return the largest cells first."""
+    kept = [a for a in comps
+            if not any(a is not b and a.ideal.contains(b.ideal) and a.ideal != b.ideal
+                       for b in comps)]
+    kept.sort(key=lambda c: (len(c.cell), c.cell))
+    changed = True
+    while changed and len(kept) > 1:
+        changed = False
+        for idx in range(len(kept)):
+            others = [c.ideal for j, c in enumerate(kept) if j != idx]
+            if intersect_all(others, ideal.ring) == ideal:
+                kept.pop(idx)
+                changed = True
+                break
+    kept.sort(key=lambda c: (-len(c.cell), c.cell))
+    return kept
+
+
+def test_localized_pruning_matches_all_others_rule():
+    fixed = [
+        (QQ, "x,y", "x^3-y^3, x^4*y^5-x^5*y^4", True),
+        # the curve: cellular only, its primary pass takes about 20 s
+        (QQ, "a,b,c,d", "c^5-b^2*d^3, a^5*d^2-b^7, b^5-a^3*c^2, a^2*d^5-c^7", False),
+        (QQ, "x1,x2,x3,y", "x1-y*x2, x2-y*x3, x3-y*x1", True),
+        (CycloField(6), "x", "x^6-1", True),
+        (FiniteField(2), "x", "x^2-1", True),
+        (FiniteField(2, 3, (1, 1, 0, 1)), "x,y", "x^2*y-t*y^3", True),
+        # each has a redundant embedded primary candidate
+        (QQ, "x,y,z", "x^4*z^2+x^3*z^3, x^3*y^3*z^4+x^3*y^3*z^3, x^2*y^4*z^2+x^2*y^2*z^2", True),
+        (QQ, "x,y,z", "x^3*y^3-x^3*y^4, x^2*y^2*z^2-x^3*y*z^2", True),
+        (FiniteField(5), "x,y", "x^4*y^2-x^4, x^3*y^2+x^3*y, x^2*y^2-x^2*y^4", True),
+    ]
+    cases = []
+    for field, names, gens, primary in fixed:
+        R = Ring(field, names.split(","))
+        cases.append((Ideal(R, [R.parse(g) for g in gens.split(", ")]), primary))
+    # monomial multiples of binomials leave embedded candidates to prune
+    rng = random.Random(7)
+    F5 = FiniteField(5)
+    for k in range(60):
+        R = Ring(QQ if k % 2 else F5, ["x", "y", "z"][: rng.choice((2, 3))])
+        gens = []
+        for _ in range(rng.choice((2, 3))):
+            m, a, b = (tuple(rng.randrange(3) for _ in range(R.nvars)) for _ in range(3))
+            gens.append(R.monomial(m) * (R.monomial(a) - R.monomial(b, rng.choice((1, -1)))))
+        cases.append((Ideal(R, gens), True))
+    dropped = {"cellular": 0, "primary": 0}
+    for ideal, primary in cases:
+        if ideal.is_unit() or ideal.is_zero():
+            continue
+        ring = ideal.ring
+        pieces = _cellular_pieces(ideal, 20)
+        kept = _prune_redundant(pieces, _cell_below, ring)
+        assert kept == _cells_pruned_by_all_others(pieces, ideal), ideal
+        dropped["cellular"] += len(kept) < len(pieces)
+        if not primary:
+            continue
+        try:
+            cands = _primary_candidates(ideal, 20)
+        except RootNotInField:  # GF(5) lacks the roots of unity this ideal needs
+            continue
+        kept = _prune_redundant(cands, _prime_below, ring)
+        assert kept == _primary_pruned_by_all_others(cands, ring), ideal
+        dropped["primary"] += len(kept) < len(cands)
+    assert dropped["cellular"] >= 10 and dropped["primary"] >= 3, dropped

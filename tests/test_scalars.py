@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from binomials.errors import (
+    BadFieldSpec,
     DivisionByZero,
     FieldMismatch,
     ParseError,
@@ -15,7 +16,9 @@ from binomials.scalars import (
     QQ,
     FiniteField,
     cyclotomic_polynomial,
+    factorint,
     field_arith,
+    is_prime,
     render_scalar,
     scalar_key,
     unit_decompose,
@@ -203,3 +206,16 @@ def test_cyclo_inverse():
     assert x * x.inverse() == 1
     with pytest.raises(DivisionByZero):
         x / (x - x)
+
+
+def test_is_prime_miller_rabin():
+    for n in range(-3, 3000):
+        assert is_prime(n) == (n >= 2 and factorint(n) == {n: 1}), n
+    # strong pseudoprimes to the first four and the first seven prime bases
+    for n in (3215031751, 341550071728321, 10**18 + 1):
+        assert not is_prime(n)
+    for n in (10**18 + 3, 2**61 - 1, 3317044064679887385961813):
+        assert is_prime(n)
+    # the bound itself is the first strong pseudoprime to all 13 bases
+    with pytest.raises(BadFieldSpec):
+        is_prime(3317044064679887385961981)
