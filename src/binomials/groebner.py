@@ -1,4 +1,13 @@
-"""Buchberger's algorithm, normal forms, and reduced Groebner bases.
+"""Buchberger's algorithm with Gebauer-Moeller pair updates, normal forms,
+and reduced Groebner bases.
+
+Pairs are selected once, when a new element h joins the basis (Gebauer and
+Moeller, JSC 1988; Becker-Weispfenning, Groebner Bases, 5.5): new pairs whose
+lcm another new pair's lcm divides or whose leading monomials are coprime
+are never queued, queued pairs that h makes redundant are dropped, and h
+evicts every active element whose leading monomial it divides.  The active
+elements are then a minimal basis, and one tail-reduction pass makes it the
+reduced one.
 
 Binomial inputs stay binomial throughout: an S-pair of two binomials has at
 most two terms and every reduction step of a term against a binomial yields
@@ -7,7 +16,7 @@ runs.  The general path handles arbitrary term counts for colon/intersection
 workloads.
 """
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop
 
 from . import checks
 from .poly import (
@@ -138,58 +147,65 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None):
     keyf = order.key_function(ring.nvars)
     binomial_input = all(len(g.terms) <= 2 for g in gens)
 
-    basis = []       # prepared term lists, monic
+    basis = []       # prepared term lists, monic, by index
     lms = []
-    treated = set()  # pairs already popped or discarded
-    heap = []
+    active = []      # indices of the minimal basis so far
+    act_lms = []     # leading monomials and term lists of ``active``,
+    act_terms = []   # the divisors every reduction runs against
+    heap = []        # queued pairs (deg lcm, i, j, lcm)
 
     def push_poly(prep):
+        """Add a reduced polynomial h and update pairs and active set."""
         lead = prep[0]
         if lead[2] != ring.field.one:
             inv = lead[2]
             prep = [(k, e, c / inv) for k, e, c in prep]
-        idx = len(basis)
-        lm_new = prep[0][1]
-        for i in range(idx):
-            l = mono_lcm(lms[i], lm_new)
-            heappush(heap, (mono_deg(l), i, idx, l))
+        h = len(basis)
+        lm_h = prep[0][1]
         basis.append(prep)
-        lms.append(lm_new)
-        return idx
+        lms.append(lm_h)
+        # new pairs (g, h): drop one whose lcm is divisible by the lcm of a
+        # pair still to be looked at or already kept (criteria M and F); a
+        # coprime pair is kept here, to stand for its lcm, and dropped below
+        cands = [(mono_lcm(lms[g], lm_h), g) for g in active]
+        kept = []
+        for n, (l, g) in enumerate(cands):
+            coprime = mono_mul(lms[g], lm_h) == l
+            if coprime or not any(mono_divides(c[0], l) for c in cands[n + 1 :] + kept):
+                kept.append((l, g, coprime))
+        # queued pairs (a, b): drop one whose lcm lm(h) divides unless
+        # (a, h) or (b, h) has the same lcm (criterion B)
+        heap[:] = [
+            p
+            for p in heap
+            if not mono_divides(lm_h, p[3])
+            or mono_lcm(lms[p[1]], lm_h) == p[3]
+            or mono_lcm(lms[p[2]], lm_h) == p[3]
+        ]
+        heap.extend((mono_deg(l), g, h, l) for l, g, coprime in kept if not coprime)
+        heapify(heap)
+        # lm(h) is reduced, so no active lm divides it; h evicts those it divides
+        active[:] = [g for g in active if not mono_divides(lm_h, lms[g])] + [h]
+        act_lms[:] = [lms[g] for g in active]
+        act_terms[:] = [basis[g] for g in active]
 
     for g in sorted(gens, key=lambda p: keyf(p.lm(order))):
-        prep = _prepare(g, keyf)
-        push_poly(prep)
+        red = _reduce_prepared(_prepare(g, keyf), act_lms, act_terms, keyf)
+        if red:
+            push_poly(red)
+            if not any(red[0][1]):
+                heap.clear()  # constant: unit ideal, stop early
+                break
 
     while heap:
         deg, i, j, l = heappop(heap)
-        treated.add((i, j))
-        lmi, lmj = lms[i], lms[j]
-        # criterion 1: coprime leading monomials
-        if mono_mul(lmi, lmj) == l:
-            continue
-        # criterion 2 (chain): a third element divides the lcm and both
-        # side pairs were already treated
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if (
-                mono_divides(lms[k], l)
-                and (min(i, k), max(i, k)) in treated
-                and (min(j, k), max(j, k)) in treated
-            ):
-                skip = True
-                break
-        if skip:
-            continue
-        si = mono_div(l, lmi)
-        sj = mono_div(l, lmj)
+        si = mono_div(l, lms[i])
+        sj = mono_div(l, lms[j])
         # S-polynomial of two monic polynomials: tails shifted and subtracted
         tail_i = [(keyf(mono_mul(e, si)), mono_mul(e, si), c) for _, e, c in basis[i][1:]]
         tail_i.sort(reverse=True, key=lambda t: t[0])
         spoly = _merge_sub(tail_i, 0, basis[j][1:], sj, ring.field.one, keyf)
-        red = _reduce_prepared(spoly, lms, basis, keyf)
+        red = _reduce_prepared(spoly, act_lms, act_terms, keyf)
         if red:
             if binomial_input:
                 assert len(red) <= 2, "binomial closure violated in Buchberger loop"
@@ -197,28 +213,18 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None):
             if not any(red[0][1]):
                 break  # constant: unit ideal, stop early
 
-    # minimalize: keep only leading monomials not divisible by another's
-    order_idx = sorted(range(len(basis)), key=lambda i: keyf(lms[i]))
-    kept = []
-    for i in order_idx:
-        if not any(mono_divides(lms[k], lms[i]) for k in kept):
-            kept.append(i)
-    min_lms = [lms[i] for i in kept]
-    min_polys = [basis[i] for i in kept]
-
-    # tail-reduce to the reduced basis.  One pass suffices: no leading
-    # monomial of a minimal basis divides another, so each leading term
-    # (monic) survives its reduction and the set of leading monomials that
-    # decides reducibility never changes.
+    # tail-reduce the active set, a minimal basis, to the reduced basis.  One
+    # pass suffices: no leading monomial of a minimal basis divides another,
+    # so each leading term (monic) survives its reduction and the set of
+    # leading monomials that decides reducibility never changes.
+    min_polys = sorted(act_terms, key=lambda prep: keyf(prep[0][1]))
+    min_lms = [prep[0][1] for prep in min_polys]
     for t in range(len(min_polys)):
         other_lms = min_lms[:t] + min_lms[t + 1 :]
         other_terms = min_polys[:t] + min_polys[t + 1 :]
         min_polys[t] = _reduce_prepared(min_polys[t], other_lms, other_terms, keyf)
 
-    pairs = sorted(zip(min_lms, min_polys), key=lambda t: keyf(t[0]))
-    out = [
-        Polynomial.from_dict(ring, {e: c for _, e, c in prep}) for _, prep in pairs
-    ]
+    out = [Polynomial.from_dict(ring, {e: c for _, e, c in prep}) for prep in min_polys]
     gb = GroebnerBasis(ring, order, out)
 
     if binomial_input:

@@ -463,6 +463,11 @@ def parse_scalar(text, field=QQ):
     return p.terms[0][1] if p.terms else field.zero
 
 
+# building QQ(zeta_N) grows faster than N (z1000 takes about 2 s), so the
+# parser refuses larger orders instead of running unbounded
+MAX_ZETA_ORDER = 1000
+
+
 class _PolyParser:
     """Recursive descent over the one expression grammar of the package:
 
@@ -590,8 +595,13 @@ class _PolyParser:
             name = self.text[start : self.pos]
             if name in ring._index:
                 return ring.var(name)
-            if ring.field.char == 0 and name[0] == "z" and name[1:].isdecimal() and int(name[1:]):
-                return ring.scalar(zeta(int(name[1:])))
+            order = name[1:].lstrip("0")
+            if ring.field.char == 0 and name[0] == "z" and name[1:].isdecimal() and order:
+                # compare lengths first: int() refuses very long digit strings
+                if len(order) > len(str(MAX_ZETA_ORDER)) or int(order) > MAX_ZETA_ORDER:
+                    self.pos = start
+                    self.error(f"root of unity order {order[:12]} exceeds {MAX_ZETA_ORDER}")
+                return ring.scalar(zeta(int(order)))
             if ring.field.char != 0 and name == "t":
                 f = ring.field
                 if f.k == 1:

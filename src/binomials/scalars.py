@@ -13,6 +13,7 @@ from math import gcd, lcm
 from .errors import (
     BadFieldSpec,
     DivisionByZero,
+    EscalationLimit,
     FieldMismatch,
     RootNotCyclotomic,
     RootNotInField,
@@ -665,6 +666,11 @@ def default_modulus(p, k):
     raise AssertionError("no irreducible polynomial found")
 
 
+# generator() and dlog() enumerate the unit group, which takes seconds past
+# this order (GF(1000003): 4.5 s), so larger fields refuse them instead
+MAX_ENUMERATED_UNITS = 2**18
+
+
 class FiniteField:
     """GF(p^k) with an explicit monic irreducible modulus over F_p."""
 
@@ -734,6 +740,11 @@ class FiniteField:
     def generator(self):
         if self._gen is None:
             m = self.units_order
+            if m > MAX_ENUMERATED_UNITS:
+                raise EscalationLimit(
+                    f"{self!r} has {m} units; generators and discrete logs "
+                    f"are found by enumeration up to {MAX_ENUMERATED_UNITS} units"
+                )
             prime_parts = [m // q for q in factorint(m)]
             for cand in self.elements():
                 if not cand:
@@ -744,7 +755,7 @@ class FiniteField:
         return self._gen
 
     def dlog(self, a):
-        """Discrete log base generator(); brute-force table, desk scale."""
+        """Discrete log base generator(); a brute-force table, bounded by generator()."""
         if not a:
             raise DivisionByZero("dlog of zero")
         if self._dlog is None:

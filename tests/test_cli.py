@@ -156,6 +156,10 @@ def test_main_exit_codes(tmp_path):
     ("ring QQ[x,y];\nideal I = 2^-1*x - y, x/y;", 1, "line 2, column 25"),
     ("ring QQ[x,y];\nideal L = character [x,y] [[1,-1]] [1@GF(5)];", 1, "line 2, column 38"),
     ("ring GF(1000000000000000001)[x]; ideal I = x; radical I;", 1, "is not prime"),
+    # QQ(zeta_N) is not built for an absurd order
+    ("ring QQ[x];\nideal I = x - z5000; radical I;", 1, "line 2, column 15"),
+    pytest.param("ring QQ[x]; ideal I = x - z" + "1" * 5000 + "; radical I;", 1,
+                 "exceeds 1000", id="zN-with-5000-digits"),
 ])
 def test_bad_input_is_a_named_error(text, code, tag):
     proc = subprocess.run(
@@ -172,6 +176,22 @@ def test_bad_input_is_a_named_error(text, code, tag):
 def test_large_prime_field_header():
     out = run("ring GF(1000000000000000003)[x]; ideal I = x; radical I;")
     assert "radical = x" in out
+
+
+def test_large_prime_field_bounds_enumeration():
+    # minimal primes need a generator of GF(p)^*, which is found by
+    # enumeration only in small fields; the radical needs none
+    text = "ring GF(1000000000000000003)[x,y]; ideal I = x^2-y^2; "
+    proc = subprocess.run(
+        [sys.executable, "-m", "binomials.cli"],
+        input=text + "minprimes I;",
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "[EscalationLimit] GF(1000000000000000003)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "radical = x^2 + 1000000000000000002*y^2" in run(text + "radical I;")
 
 
 def test_cli_entrypoint_subprocess():

@@ -132,6 +132,53 @@ def test_binomial_closure_random_vs_naive_oracle():
         assert [p.key() for p in gb] == [p.key() for p in oracle], (gens, order)
 
 
+def test_random_general_inputs_vs_naive_oracle(checked):
+    # Gebauer-Moeller pair selection against the criterion-free oracle, on
+    # inputs of one to three terms, so the general path runs as well
+    rnd = random.Random(7)
+    fields = [QQ, FiniteField(5)]
+    compared = 0
+    for trial in range(120):
+        n = rnd.randint(2, 3)
+        field = fields[trial % 2]
+        R = Ring(field, [f"v{i}" for i in range(n)])
+        gens = []
+        for _ in range(rnd.randint(1, 3)):
+            g = R.zero
+            for _ in range(rnd.randint(1, 3)):
+                e = tuple(rnd.randint(0, 2) for _ in range(n))
+                c = rnd.choice([1, -1, 2, 3, Fraction(1, 2)])
+                g = g + R.monomial(e) * c
+            gens.append(g)
+        gens = [g for g in gens if g.terms]
+        if not gens:
+            continue
+        order = [DEGREVLEX, LEX, elim_order([0], n)][trial % 3]
+        gb = groebner_basis(gens, order, R)
+        oracle = naive_buchberger(gens, order)
+        assert [p.key() for p in gb] == [p.key() for p in oracle], (gens, order)
+        compared += 1
+    assert compared >= 110
+
+
+def test_ladder_saturation_checked(checked):
+    # both x^k - y, y^3 - z*x and the lattice basis that ideal_from_character
+    # saturates for it give the curve (t, t^k, t^(3k-1)) when saturated by
+    # x*y*z; the lattice basis's Groebner run is the one with many pairs
+    from binomials.ideals import Ideal, saturate_monomial
+
+    R = Ring(QQ, ["x", "y", "z"])
+    x, y, z = (R.var(i) for i in range(3))
+    for k in (10, 20):
+        expected = naive_buchberger([x**k - y, x ** (k - 1) * y * y - z, y**3 - x * z], DEGREVLEX)
+        for gens in [
+            (x**k - y, y**3 - z * x),
+            (x * y ** (3 * k - 4) - z ** (k - 1), y ** (3 * k - 1) - z**k),
+        ]:
+            sat = saturate_monomial(Ideal(R, gens), x * y * z)
+            assert [p.key() for p in sat.gb()] == [p.key() for p in expected], (k, gens)
+
+
 def test_reduced_gb_unique_under_generator_permutation():
     rnd = random.Random(1)
     R = Ring(QQ, ["x", "y", "z"])
