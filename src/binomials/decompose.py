@@ -29,10 +29,12 @@ from .ideals import (
     Ideal,
     cell_product,
     cellular_localize,
-    colon_monomial,
+    colon_homogeneous,
     colon_poly,
     colon_quasipower_ratio,
+    dehomogenize,
     eliminate,
+    homogenize,
     intersect_all,
     quasi_power,
     saturate_monomial,
@@ -289,20 +291,34 @@ def _prune_redundant(comps, below, ring):
 
 
 class _ColonCache:
-    """(I : m) along the divisibility tree of standard monomials."""
+    """(I : x^e) along the divisibility tree of standard monomials.
+
+    The tree lives on the homogenization I^h: node e is (I^h : x^e), made
+    from the node with e's first nonzero exponent cleared by one revlex
+    basis (`colon_homogeneous`), so every power of that variable below the
+    same node shares one Groebner run.  Only handed-out ideals are
+    dehomogenized.
+    """
 
     def __init__(self, ideal):
-        self.ideal = ideal
-        self.cache = {(0,) * ideal.ring.nvars: ideal}
+        zero = (0,) * ideal.ring.nvars
+        self.ring = ideal.ring
+        self.tree = {zero: homogenize(ideal)}
+        self.cache = {zero: ideal}
+
+    def _node(self, exp):
+        got = self.tree.get(exp)
+        if got is None:
+            v = next(i for i, x in enumerate(exp) if x)
+            got = colon_homogeneous(self._node(exp[:v] + (0,) + exp[v + 1:]), v, exp[v])
+            self.tree[exp] = got
+        return got
 
     def get(self, exp):
         exp = tuple(exp)
         got = self.cache.get(exp)
         if got is None:
-            v = next(i for i, x in enumerate(exp) if x)
-            parent = tuple(x - int(i == v) for i, x in enumerate(exp))
-            base = self.get(parent)
-            got = colon_monomial(base, self.ideal.ring.var(v))
+            got = dehomogenize(self._node(exp), self.ring)
             self.cache[exp] = got
         return got
 

@@ -1,8 +1,11 @@
 """Ideal-level constructions: elimination, colon, saturation, intersection,
 homogenization, quasi-powers, cellular localization, blowup presentations.
 
-All auxiliary-variable tricks go through one helper that appends a fresh
-variable, which keeps every construction a single elimination Groebner run.
+Intersection and saturation go through one helper that appends a fresh
+auxiliary variable, which keeps each a single elimination Groebner run.
+Monomial colons use none: by Bayer–Stillman, (J : x_v^k) for homogeneous J
+is read off the degrevlex basis with x_v compared last, so they run on the
+homogenization of the ideal, where a binomial stays a binomial.
 Binomiality of results is asserted where the theory guarantees it.
 """
 
@@ -19,6 +22,7 @@ from .groebner import groebner_basis
 from .intlattice import _p_part
 from .poly import (
     DEGREVLEX,
+    MonomialOrder,
     Polynomial,
     Ring,
     elim_order,
@@ -254,11 +258,15 @@ def colon_poly(i, f):
 
 
 def colon_monomial(i, m):
-    """(I : m) for a monomial m; binomial whenever I is."""
-    out = colon_poly(i, m)
-    if all(len(g.terms) <= 2 for g in i.gens):
-        assert out.is_binomial(), "monomial colon broke binomiality"
-    return out
+    """(I : m) for a monomial m: Bayer–Stillman colons on the homogenization
+    I^h, one variable of m at a time, then h = 1.  Exact because I^h is
+    h-saturated and so is each colon of it by a monomial in the old variables.
+    """
+    j = homogenize(i)
+    for v, k in enumerate(_monomial_exponent(m)):
+        if k:
+            j = colon_homogeneous(j, v, k)
+    return dehomogenize(j, i.ring)
 
 
 def saturate_monomial(i, m):
@@ -268,16 +276,20 @@ def saturate_monomial(i, m):
     return out
 
 
-def saturation_exponent(i, m, bound=256):
-    """Smallest k with (I : m^k) = (I : m^∞)."""
-    target = saturate_monomial(i, m)
-    cur = i
-    k = 0
-    while cur != target:
-        cur = colon_monomial(cur, m)
-        k += 1
-        if k > bound:
-            raise EscalationLimit("saturation exponent exceeded bound")
+def saturation_exponent(i, xv, bound=256):
+    """Smallest k with (I : x_v^k) = (I : x_v^∞) for a variable x_v.
+
+    This is the largest x_v-order in the revlex basis of I^h with x_v last:
+    its leading monomials minimally generate the initial ideal, so no
+    smaller k clears x_v from all of them.
+    """
+    e = _monomial_exponent(xv)
+    if mono_deg(e) != 1:
+        raise ValueError(f"{render_poly(xv)} is not a variable")
+    v = e.index(1)
+    k = max((_order_in(g, v) for g in revlex_basis(homogenize(i), v)), default=0)
+    if k > bound:
+        raise EscalationLimit("saturation exponent exceeded bound")
     return k
 
 
@@ -298,11 +310,12 @@ def colon_ideal(i, j):
 
 
 # ---------------------------------------------------------------------------
-# homogenization
+# homogenization and Bayer–Stillman monomial colons
 
 
 def homogenize(i, name="x0"):
-    """Projective-closure ideal: homogenize a degree-order Groebner basis."""
+    """Projective-closure ideal: homogenize a degree-order Groebner basis.
+    The homogenizing variable is appended last."""
     ring = i.ring
     n = ring.nvars
     rh = ring.extended(_fresh_name(ring, name))
@@ -314,6 +327,50 @@ def homogenize(i, name="x0"):
             terms[e + (d - mono_deg(e),)] = c
         gens.append(Polynomial.from_dict(rh, terms))
     return Ideal(rh, gens)
+
+
+def dehomogenize(j, ring):
+    """J with its last (homogenizing) variable set to 1, as an ideal of ring;
+    the terms of a homogeneous polynomial stay distinct."""
+    gens = [Polynomial.from_dict(ring, {e[:-1]: c for e, c in g.terms}) for g in j.gens]
+    return Ideal(ring, gens)
+
+
+def revlex_basis(j, v):
+    """Reduced Groebner basis of J in degrevlex with x_v compared last."""
+    n = j.ring.nvars
+    return j.gb(MonomialOrder("degrevlex", perm=tuple(u for u in range(n) if u != v) + (v,)))
+
+
+def _order_in(g, v):
+    """The largest power of x_v dividing g."""
+    return min(e[v] for e, _ in g.terms)
+
+
+def colon_homogeneous(j, v, k):
+    """(J : x_v^k) for homogeneous J (Bayer–Stillman, Invent. Math. 1987):
+    divide each g of the revlex basis with x_v last by x_v^min(k, ord_v g)."""
+    gens = []
+    for g in revlex_basis(j, v):
+        s = min(k, _order_in(g, v))
+        if s:
+            terms = tuple((e[:v] + (e[v] - s,) + e[v + 1:], c) for e, c in g.terms)
+            g = Polynomial(j.ring, terms)
+        gens.append(g)
+    return Ideal(j.ring, gens)
+
+
+def _zerodivisor(h, v):
+    """Whether x_v is a zerodivisor modulo the ideal whose homogenization is
+    h: (I : x_v) != I exactly when x_v divides an element of the revlex basis
+    with x_v last."""
+    return any(_order_in(g, v) for g in revlex_basis(h, v))
+
+
+def _monomial_exponent(m):
+    if len(m.terms) != 1:
+        raise ValueError(f"{render_poly(m)} is not a monomial")
+    return m.terms[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +422,11 @@ def _leading_monomial_poly(b, ring):
 
 
 def check_nonzerodivisor_lead(i, b):
-    """Verify the quasi-power colon precondition exactly: (I : x^a) = I."""
+    """Verify the quasi-power colon precondition exactly: (I : x^a) = I,
+    i.e. no variable of x^a is a zerodivisor modulo I."""
     xa = _leading_monomial_poly(b, i.ring)
-    if colon_monomial(i, xa) != i:
+    h = homogenize(i)
+    if any(_zerodivisor(h, v) for v, x in enumerate(xa.terms[0][0]) if x):
         raise NonzerodivisorViolated(
             f"leading monomial {render_poly(xa)} is a zerodivisor mod the ideal"
         )
@@ -458,11 +517,8 @@ def cellular_localize(i, cell, exps):
 
 def nonzerodivisor_variables(i):
     """Indices v with (I : x_v) = I."""
-    out = []
-    for v in range(i.ring.nvars):
-        if colon_monomial(i, i.ring.var(v)) == i:
-            out.append(v)
-    return tuple(out)
+    h = homogenize(i)
+    return tuple(v for v in range(i.ring.nvars) if not _zerodivisor(h, v))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ order is active.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from .errors import FieldMismatch, ParseError, UnknownVariable
-from .scalars import QQ, CycloElement, render_scalar, scalar_key, zeta
+from .errors import EscalationLimit, FieldMismatch, ParseError, UnknownVariable
+from .scalars import MAX_ZETA_ORDER, QQ, CycloElement, render_scalar, scalar_key, zeta
 
 
 def mono_mul(a, b):
@@ -463,9 +464,21 @@ def parse_scalar(text, field=QQ):
     return p.terms[0][1] if p.terms else field.zero
 
 
-# building QQ(zeta_N) grows faster than N (z1000 takes about 2 s), so the
-# parser refuses larger orders instead of running unbounded
-MAX_ZETA_ORDER = 1000
+# int() refuses numerals of more than 4300 digits, and a constant power is
+# computed as it is read (3^1000000000000 would not finish), so numerals are
+# capped in length and constant powers in the size of their value
+MAX_NUMERAL_DIGITS = 1000
+
+
+def _growth_bits(c):
+    """About how many bits each factor of a power c^e adds to its value, for
+    a char-0 constant c: log2, rounded down, of the larger of the common
+    denominator and the summed numerators of c's coefficients (0 for ±1 and
+    for a zN token)."""
+    coeffs = c.coeffs if isinstance(c, CycloElement) else (Fraction(c),)
+    den = lcm(*(q.denominator for q in coeffs))
+    num = sum(abs(q.numerator) * (den // q.denominator) for q in coeffs)
+    return max(num, den).bit_length() - 1
 
 
 class _PolyParser:
@@ -513,8 +526,21 @@ class _PolyParser:
             self.error(f"{what} must be a nonzero constant")
         return p.terms[0][1]
 
+    def numeral(self):
+        """An unsigned integer literal, refused before int() reads it when it
+        has more than MAX_NUMERAL_DIGITS digits."""
+        start = self.pos
+        text = self.digits()
+        if len(text) > MAX_NUMERAL_DIGITS:
+            self.pos = start
+            self.error(f"numeral of {len(text)} digits exceeds {MAX_NUMERAL_DIGITS}")
+        return int(text)
+
     def parse(self):
-        p = self.expr()
+        try:
+            p = self.expr()
+        except EscalationLimit as exc:  # a scalar that needs QQ(zeta N) above MAX_ZETA_ORDER
+            self.error(str(exc))
         self.skip()
         if self.pos != len(self.text):
             self.error(f"unexpected input {self.text[self.pos:self.pos+10]!r}")
@@ -561,13 +587,22 @@ class _PolyParser:
             self.skip()
             negative = self.text.startswith("-", self.pos)
             self.pos += negative
-            e = self.digits()
-            if not e:
+            at = self.pos
+            if not self.text[at : at + 1].isdecimal():
                 self.error("missing exponent")
+            e = self.numeral()
             if negative:
                 c = self.nonzero_constant(p, start, "the base of a negative power")
                 p = self.ring.scalar(self.ring.field.one / c)
-            p = p ** int(e)
+            if (
+                self.ring.field.char == 0
+                and p.terms
+                and not any(p.terms[0][0])
+                and e * _growth_bits(p.terms[0][1]) > MAX_NUMERAL_DIGITS * 10 // 3
+            ):
+                self.pos = at
+                self.error(f"constant power of more than about {MAX_NUMERAL_DIGITS} digits")
+            p = p**e
         return p
 
     def atom(self):
@@ -585,7 +620,7 @@ class _PolyParser:
             self.nonzero_constant(p, start, "a parenthesized expression")
             return p
         if ch.isdecimal():
-            return ring.scalar(int(self.digits()))
+            return ring.scalar(self.numeral())
         if ch.isalpha() or ch == "_":
             start = self.pos
             while self.pos < len(self.text) and (

@@ -199,10 +199,19 @@ class _CycloContext:
 
 _CTX_CACHE = {}
 
+# arithmetic in QQ(zeta_N) grows faster than N, so no field above this order
+# is built: not for a zN token, nor where two scalars' orders join (z997*z991
+# would need N = 988027), nor for the d-th roots of unity a prime needs
+MAX_ZETA_ORDER = 1000
+
 
 def _ctx(order):
     ctx = _CTX_CACHE.get(order)
     if ctx is None:
+        if order > MAX_ZETA_ORDER:
+            raise EscalationLimit(
+                f"QQ(zeta {order}) is above the cyclotomic order bound {MAX_ZETA_ORDER}"
+            )
         ctx = _CycloContext(order)
         _CTX_CACHE[order] = ctx
     return ctx
@@ -941,8 +950,7 @@ class CycloField:
     """Char-0 field QQ(zeta_N); N = 1 is plain QQ.
 
     The order only bounds which roots of unity are *declared* available;
-    arithmetic transparently enlarges as needed, and ``union`` tracks the
-    declared order across operations that introduce new roots.
+    arithmetic transparently enlarges as needed, up to MAX_ZETA_ORDER.
     """
 
     __slots__ = ("order",)
@@ -983,17 +991,6 @@ class CycloField:
             )
         # solutions of x^d = zeta_o^j are zeta_(o*d)^(j + o*i)
         return [t * zeta(o * d, j + o * i) for i in range(d)]
-
-    def union(self, other):
-        if isinstance(other, CycloField):
-            return CycloField(lcm(self.order, other.order))
-        raise FieldMismatch("cannot merge char-0 and char-p fields")
-
-    def containing(self, scalars):
-        n = self.order
-        for s in scalars:
-            n = lcm(n, scalar_order(s))
-        return CycloField(n) if n != self.order else self
 
     def __eq__(self, other):
         return isinstance(other, CycloField) and other.order == self.order

@@ -160,6 +160,19 @@ def test_main_exit_codes(tmp_path):
     ("ring QQ[x];\nideal I = x - z5000; radical I;", 1, "line 2, column 15"),
     pytest.param("ring QQ[x]; ideal I = x - z" + "1" * 5000 + "; radical I;", 1,
                  "exceeds 1000", id="zN-with-5000-digits"),
+    # nor where two orders join, nor for roots of unity a prime needs
+    ("ring QQ[x]; ideal I = x - z997*z991; radical I;", 1, "cyclotomic order bound 1000"),
+    ("ring QQ[x,y]; ideal I = x - z997, y - z991; radical I;", 2,
+     "[EscalationLimit] QQ(zeta 988027)"),
+    ("ring QQ[x]; ideal I = x^2000 - 1; minprimes I;", 2, "[EscalationLimit] QQ(zeta 2000)"),
+    # numerals are refused before int() reads them, constant powers before
+    # they are computed
+    pytest.param("ring QQ[x]; ideal I = x - " + "1" * 5000 + "; radical I;", 1,
+                 "numeral of 5000 digits", id="integer-with-5000-digits"),
+    pytest.param("ring QQ[x]; ideal I = x^" + "1" * 5000 + "; radical I;", 1,
+                 "line 1, column 25", id="exponent-with-5000-digits"),
+    ("ring QQ[x]; ideal I = x - 3^1000000000000; radical I;", 1, "line 1, column 29"),
+    ("ring QQ[x]; ideal I = x - (1+z5)^1000000; radical I;", 1, "constant power"),
 ])
 def test_bad_input_is_a_named_error(text, code, tag):
     proc = subprocess.run(
@@ -171,6 +184,12 @@ def test_bad_input_is_a_named_error(text, code, tag):
     assert proc.returncode == code
     assert tag in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_huge_exponents_stay_cheap():
+    # a monomial power and a root-of-unity power never grow a numeral
+    out = run("ring QQ[x]; ideal I = x^1000000000000 - z3^1000000000000; radical I;")
+    assert "radical = x^1000000000000 - z3" in out
 
 
 def test_large_prime_field_header():

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
+from binomials.decompose import _ColonCache
 from binomials.errors import InfiniteStandardSet, NonzerodivisorViolated, NotTwoTerm
 from binomials.ideals import (
     Ideal,
     blowup_presentations,
     cellular_localize,
+    check_nonzerodivisor_lead,
     colon_ideal,
     colon_monomial,
     colon_poly,
@@ -16,6 +20,7 @@ from binomials.ideals import (
     intersect,
     intersect_all,
     is_binomial_ideal,
+    nonzerodivisor_variables,
     quasi_power,
     quasi_power_ratio,
     restrict_to_subring,
@@ -24,7 +29,7 @@ from binomials.ideals import (
     standard_monomials,
 )
 from binomials.poly import Ring
-from binomials.scalars import QQ
+from binomials.scalars import QQ, FiniteField
 
 
 @pytest.fixture
@@ -231,6 +236,99 @@ def test_saturation_exponent(rxy):
     assert saturation_exponent(I, x) == 1
     I2 = Ideal(rxy, (x**3 * (x - y),))
     assert saturation_exponent(I2, x) == 3
+
+
+# -- the aux-variable definitions the Bayer–Stillman colons replaced ---------
+
+
+def _colon_by_intersection(I, m):
+    """(I : m) = (I ∩ (m)) / m."""
+    w = intersect(I, Ideal(I.ring, (m,)))
+    return Ideal(I.ring, tuple(divide_exact(g, m) for g in w.gens))
+
+
+def _saturation_exponent_by_iteration(I, xv, bound=12):
+    target = saturate_monomial(I, xv)
+    cur, k = I, 0
+    while cur != target:
+        cur = _colon_by_intersection(cur, xv)
+        k += 1
+        assert k <= bound
+    return k
+
+
+def _random_binomial_ideal(rnd, R):
+    n = R.nvars
+    gens = []
+    for _ in range(rnd.randint(1, 3)):
+        a = tuple(rnd.randint(0, 3) for _ in range(n))
+        b = tuple(rnd.randint(0, 2) for _ in range(n))
+        g = R.monomial(a)
+        if rnd.random() < 0.85:  # otherwise a monomial generator
+            g = g - R.monomial(b, rnd.choice([1, -1, 2, 3]))
+        gens.append(g)
+    return Ideal(R, gens)
+
+
+def test_monomial_colons_vs_intersection_route(checked):
+    rnd = random.Random(8)
+    rings = [
+        Ring(field, [f"x{i}" for i in range(n)])
+        for field in (QQ, FiniteField(5))
+        for n in (2, 3, 4)
+    ]
+    inputs = []
+    for R in rings:  # the zero and the unit ideal
+        inputs += [Ideal(R), Ideal(R, (R.one,)), Ideal(R, (R.var(0) - R.one,))]
+    while len(inputs) < 150:
+        inputs.append(_random_binomial_ideal(rnd, rnd.choice(rings)))
+    inhomogeneous = 0
+    for I in inputs:
+        R = I.ring
+        n = R.nvars
+        inhomogeneous += any(
+            len({sum(e) for e, _ in g.terms}) > 1 for g in I.gens
+        )
+        e = [0] * n
+        for v in rnd.sample(range(n), rnd.randint(1, 2)):
+            e[v] = rnd.randint(1, 3)
+        m = R.monomial(tuple(e))
+        assert colon_monomial(I, m).key() == _colon_by_intersection(I, m).key(), (I, m)
+        xv = R.var(rnd.randrange(n))
+        assert saturation_exponent(I, xv) == _saturation_exponent_by_iteration(I, xv), (I, xv)
+        nzd = tuple(v for v in range(n) if _colon_by_intersection(I, R.var(v)) == I)
+        assert nonzerodivisor_variables(I) == nzd, I
+        b = R.monomial(tuple(e)) - R.monomial((0,) * n, 2)
+        if set(v for v in range(n) if e[v]) <= set(nzd):
+            check_nonzerodivisor_lead(I, b)
+        else:
+            with pytest.raises(NonzerodivisorViolated):
+                check_nonzerodivisor_lead(I, b)
+    assert inhomogeneous > 100
+
+
+def test_colon_tree_on_curve_pieces_vs_intersection_route(checked):
+    # the witness colons of criterion 3's curve: walk the standard-monomial
+    # tree of its (a)- and (d)-cellular pieces, old route one variable a step
+    R = Ring(QQ, ["a", "b", "c", "d"])
+    a, b, c, d = (R.var(i) for i in range(4))
+    pieces = [
+        (Ideal(R, (b**2 * c**2 - a**2 * d**2, b**5 - a**3 * c**2,
+                   b**2 * d**2, c**4, c**2 * d**2, d**4)), (1, 2, 3)),
+        (Ideal(R, (b**2 * c**2 - a**2 * d**2, c**5 - b**2 * d**3,
+                   a**2 * c**2, b**4, a**2 * b**2, a**4)), (0, 1, 2)),
+    ]
+    for I, off in pieces:
+        stand, _ = standard_monomials(I, off)
+        assert len(stand) > 20
+        tree = _ColonCache(I)
+        old = {(0,) * 4: I}
+        for m in stand:  # sorted by degree, so each parent comes first
+            v = next(i for i, x in enumerate(m) if x) if any(m) else None
+            if v is not None:
+                parent = tuple(x - (i == v) for i, x in enumerate(m))
+                old[m] = _colon_by_intersection(old[parent], R.var(v))
+            assert tree.get(m).key() == old[m].key(), m
 
 
 def test_standard_monomials(rxy):
