@@ -218,10 +218,6 @@ def character_saturations(rho):
     return rho_p, full
 
 
-def is_prime_character(rho):
-    return rho.is_saturated()
-
-
 def laurent_primary_decomposition(rho):
     """Radical and primary data of the Laurent binomial ideal of rho.
 

@@ -172,11 +172,15 @@ def minimal_prime_entries(i):
         p_ideal = character_prime_ideal(ring, s)
         seen.setdefault(p_ideal.key(), (cell, s, p_ideal))
     items = [seen[k] for k in sorted(seen, key=_key_sort)]
+    # by prime avoidance a prime contains an intersection of primes only if
+    # it contains one of them, so this pairwise test is already the local
+    # redundancy test of _prune_redundant, with no intersection computed;
+    # the items have distinct keys, so containment here is strict
     keep = []
     for idx, (cell, s, p_ideal) in enumerate(items):
         redundant = False
-        for jdx, (c2, s2, q_ideal) in enumerate(items):
-            if idx != jdx and p_ideal.contains(q_ideal) and p_ideal != q_ideal:
+        for jdx, (_, _, q_ideal) in enumerate(items):
+            if idx != jdx and p_ideal.contains(q_ideal):
                 redundant = True
                 break
         if not redundant:
@@ -496,7 +500,7 @@ def _colon_case_finite(cur, sigma, rho, cell, max_escalation):
     for k in range(1, max_escalation + 1):
         d = o * _ladder(k)
         q = _p_part(d, p)
-        out = colon_quasipower_ratio(cur, b, d, q, strict=False)
+        out = colon_quasipower_ratio(cur, b, d, q)
         if not out.is_binomial():
             continue
         if out != cur:

@@ -94,7 +94,7 @@ class GroebnerBasis:
 
     __slots__ = ("ring", "order", "polys", "_keyf", "_lms", "_prepped")
 
-    def __init__(self, ring, order, polys, reduced=True):
+    def __init__(self, ring, order, polys):
         self.ring = ring
         self.order = order
         self.polys = tuple(polys)

@@ -468,12 +468,12 @@ def colon_quasipower(i, b, d=None, max_escalation=20):
     raise EscalationLimit("colon_quasipower escalation exceeded bound")
 
 
-def colon_quasipower_ratio(i, b, d, e, strict=True):
+def colon_quasipower_ratio(i, b, d, e):
     """(I : quasi_power_ratio(b, d, e)) via the coprime-factor identity:
     ((I + (I : b^[d]) · b^[e]) : (x^a)^inf).
 
-    With strict=False an insufficiently divisible d is tolerated (callers
-    that escalate d check binomiality themselves).
+    An insufficiently divisible d may give a non-binomial ideal; callers
+    that escalate d check binomiality themselves.
     """
     if d % e:
         raise ValueError("need e | d")
@@ -485,10 +485,7 @@ def colon_quasipower_ratio(i, b, d, e, strict=True):
     k = colon_poly(i, quasi_power(b, d))
     f = quasi_power(b, e)
     j0 = Ideal(i.ring, i.gens + tuple(g * f for g in k.gens))
-    out = saturate_monomial(j0, _leading_monomial_poly(b, i.ring))
-    if strict and all(len(g.terms) <= 2 for g in i.gens):
-        assert out.is_binomial(), "quasi-power ratio colon must be binomial"
-    return out
+    return saturate_monomial(j0, _leading_monomial_poly(b, i.ring))
 
 
 # ---------------------------------------------------------------------------

@@ -441,37 +441,3 @@ class Lattice:
             out.setdefault(support, tuple(vec))
         return [out[s] for s in sorted(out)]
 
-
-class IntMatrix:
-    """Spec-surface wrapper: exact integer matrix with JSON serialization."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        self.entries = tuple(tuple(int(x) for x in row) for row in entries)
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-
-    def smith_normal_form(self):
-        u, d, v = smith_normal_form([list(r) for r in self.entries])
-        return IntMatrix(u), IntMatrix(d), IntMatrix(v)
-
-    def hnf(self):
-        out = hnf([list(r) for r in self.entries])
-        return IntMatrix(out) if out else IntMatrix([[]] if self.cols == 0 else [[0] * self.cols])
-
-    def to_json(self):
-        return [[str(x) for x in row] for row in self.entries]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls([[int(x) for x in row] for row in data])
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and other.entries == self.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"IntMatrix({[list(r) for r in self.entries]})"

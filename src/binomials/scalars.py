@@ -5,6 +5,14 @@ Rationals are plain ``fractions.Fraction``; cyclotomic scalars are
 rationals (arithmetic lifts both operands into QQ(zeta_lcm)).  Finite-field
 scalars are ``FiniteFieldElement`` values tied to an interned ``FiniteField``.
 Everything is immutable and exact.
+
+Both extension fields are residue rings k[z]/(f) for a monic f (Phi_N over
+QQ, an irreducible modulus over F_p), and one kernel does their polynomial
+arithmetic: ``_mulmod`` multiplies modulo f and ``_divmod_monic`` divides by a
+monic polynomial.  Neither divides a coefficient, so both are exact over
+Fractions and over ints that the finite-field caller reduces mod p.  Products,
+inverses (extended Euclid with monic remainders), reduction of powers of z,
+cyclotomic polynomials and the irreducibility test all go through them.
 """
 
 from fractions import Fraction
@@ -123,23 +131,43 @@ def rational_nth_root(q, n):
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic polynomials and the QQ(zeta_N) tower
+# the residue-ring kernel: polynomials over QQ or F_p modulo a monic f
 
 
-def _poly_divmod_int(num, den):
-    # exact division of integer coefficient lists (ascending), den monic
+def _divmod_monic(num, f):
+    """Quotient and remainder of num by the monic f (ascending lists).
+
+    Nothing is divided, so the result is exact over any coefficients:
+    Fractions in characteristic 0, plain ints that the caller reduces mod p.
+    The remainder has exactly len(f) - 1 coefficients.
+    """
+    d = len(f) - 1
     num = list(num)
-    deg_d = len(den) - 1
-    quot = [0] * max(len(num) - deg_d, 0)
-    for i in range(len(num) - 1, deg_d - 1, -1):
+    if len(num) < d:
+        num += [0] * (d - len(num))
+    # synthetic division: num[i] ends as the quotient's coefficient of z^(i-d)
+    for i in range(len(num) - 1, d - 1, -1):
         c = num[i]
         if c:
-            quot[i - deg_d] = c
-            for j, dj in enumerate(den):
-                num[i - deg_d + j] -= c * dj
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
+            for j in range(d):
+                if f[j]:
+                    num[i - d + j] -= c * f[j]
+    return num[d:], num[:d]
+
+
+def _mulmod(a, b, f):
+    """a * b modulo the monic f, as len(f) - 1 ascending coefficients."""
+    conv = [0 * a[0]] * (len(a) + len(b) - 1)  # zero of the coefficients' type
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    conv[i + j] += x * y
+    return _divmod_monic(conv, f)[1]
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic polynomials and the QQ(zeta_N) tower
 
 
 _CYCLO_CACHE = {1: (-1, 1)}
@@ -149,55 +177,13 @@ def cyclotomic_polynomial(n):
     """Integer coefficients of Phi_n, ascending, monic."""
     if n in _CYCLO_CACHE:
         return _CYCLO_CACHE[n]
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    for d in divisors(n):
-        if d != n:
-            num, rem = _poly_divmod_int(num, list(cyclotomic_polynomial(d)))
-            assert not rem
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in divisors(n)[:-1]:
+        num, rem = _divmod_monic(num, cyclotomic_polynomial(d))
+        assert not any(rem)
     _CYCLO_CACHE[n] = tuple(num)
     return _CYCLO_CACHE[n]
 
-
-class _CycloContext:
-    """Cached reduction/embedding data for one cyclotomic order."""
-
-    __slots__ = ("order", "degree", "modulus", "red_rows")
-
-    def __init__(self, order):
-        self.order = order
-        self.degree = euler_phi(order)
-        self.modulus = cyclotomic_polynomial(order)
-        deg = self.degree
-        rows = []
-        # z^(deg+i) expressed in the power basis, for i = 0 .. deg-2
-        cur = [-c for c in self.modulus[:deg]]
-        rows.append(tuple(cur))
-        for _ in range(deg - 2):
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for j in range(deg):
-                    nxt[j] -= top * self.modulus[j]
-            cur = nxt
-            rows.append(tuple(cur))
-        self.red_rows = tuple(rows)
-
-    def reduce_monomial(self, e):
-        """Coefficient tuple of z^e (e >= 0) in the power basis."""
-        deg = self.degree
-        if e < deg:
-            out = [Fraction(0)] * deg
-            out[e] = Fraction(1)
-            return tuple(out)
-        num = [0] * (e + 1)
-        num[e] = 1
-        _, rem = _poly_divmod_int(num, list(self.modulus))
-        rem += [0] * (deg - len(rem))
-        return tuple(Fraction(c) for c in rem)
-
-
-_CTX_CACHE = {}
 
 # arithmetic in QQ(zeta_N) grows faster than N, so no field above this order
 # is built: not for a zN token, nor where two scalars' orders join (z997*z991
@@ -205,16 +191,19 @@ _CTX_CACHE = {}
 MAX_ZETA_ORDER = 1000
 
 
-def _ctx(order):
-    ctx = _CTX_CACHE.get(order)
-    if ctx is None:
-        if order > MAX_ZETA_ORDER:
-            raise EscalationLimit(
-                f"QQ(zeta {order}) is above the cyclotomic order bound {MAX_ZETA_ORDER}"
-            )
-        ctx = _CycloContext(order)
-        _CTX_CACHE[order] = ctx
-    return ctx
+def _modulus(order):
+    """Phi_N, the modulus of QQ(zeta_N), for N up to MAX_ZETA_ORDER."""
+    if order > MAX_ZETA_ORDER:
+        raise EscalationLimit(
+            f"QQ(zeta {order}) is above the cyclotomic order bound {MAX_ZETA_ORDER}"
+        )
+    return cyclotomic_polynomial(order)
+
+
+def _zeta_power(order, e):
+    """Coefficient tuple of z^e (e >= 0) in the power basis of QQ(zeta_N)."""
+    rem = _divmod_monic([0] * e + [1], _modulus(order))[1]
+    return tuple(Fraction(c) for c in rem)
 
 
 _EMBED_CACHE = {}
@@ -226,9 +215,8 @@ def _embedding(n, m):
     rows = _EMBED_CACHE.get(key)
     if rows is None:
         assert m % n == 0
-        ctx_m = _ctx(m)
         step = m // n
-        rows = tuple(ctx_m.reduce_monomial(i * step) for i in range(euler_phi(n)))
+        rows = tuple(_zeta_power(m, i * step) for i in range(euler_phi(n)))
         _EMBED_CACHE[key] = rows
     return rows
 
@@ -317,47 +305,28 @@ class CycloElement:
         ca, cb, n = _as_cyclo_pair(self, other)
         if n == 1:
             return ca * cb
-        ctx = _ctx(n)
-        deg = ctx.degree
-        conv = [Fraction(0)] * (2 * deg - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    if y:
-                        conv[i + j] += x * y
-        out = conv[:deg]
-        for i in range(deg, 2 * deg - 1):
-            c = conv[i]
-            if c:
-                row = ctx.red_rows[i - deg]
-                for j in range(deg):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return _make(n, out)
+        return _make(n, _mulmod(ca, cb, _modulus(n)))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self:
             raise DivisionByZero("inverse of zero")
-        ctx = _ctx(self.order)
-        # extended Euclid in QQ[z] against Phi_N
-        r0 = [Fraction(c) for c in ctx.modulus]
-        r1 = list(self.coeffs)
-        while r1 and not r1[-1]:
-            r1.pop()
-        s0, s1 = [], [Fraction(1)]
+        f = _modulus(self.order)
+        # extended Euclid in QQ[z] against Phi_N with monic remainders;
+        # r0 = s0 * self and r1 = s1 * self modulo Phi_N throughout
+        r0, r1 = [Fraction(c) for c in f], list(self.coeffs)
+        s0, s1 = [0] * len(r1), [1] + [0] * (len(r1) - 1)
         while True:
+            while not r1[-1]:
+                r1.pop()
+            lead = r1[-1]
+            r1, s1 = [c / lead for c in r1], [c / lead for c in s1]
             if len(r1) == 1:
-                inv_c = 1 / r1[0]
-                deg = ctx.degree
-                out = [c * inv_c for c in s1] + [Fraction(0)] * deg
-                return _make(self.order, tuple(out[:deg]))
-            q, r = _frac_divmod(r0, r1)
+                return _make(self.order, s1)
+            q, r = _divmod_monic(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _frac_sub(s0, _frac_mul(q, s1))
-            if not r1:
-                raise DivisionByZero("element not invertible (non-reduced order?)")
+            s0, s1 = s1, [x - y for x, y in zip(s0, _mulmod(q, s1, f))]
 
     def __truediv__(self, other):
         if isinstance(other, int):
@@ -438,45 +407,6 @@ class CycloElement:
         raise AssertionError("unreachable")
 
 
-def _frac_divmod(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            q = c / lead
-            quot[i - dd] = q
-            for j, dj in enumerate(den):
-                num[i - dd + j] -= q * dj
-    while num and not num[-1]:
-        num.pop()
-    return quot, num
-
-
-def _frac_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _frac_sub(a, b):
-    out = list(a) + [Fraction(0)] * max(len(b) - len(a), 0)
-    for i, y in enumerate(b):
-        out[i] -= y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 def _solve_fraction_system(rows, target):
     """Solve x * rows = target over QQ (rows: tuples); None if inconsistent."""
     if not rows:
@@ -533,8 +463,7 @@ def zeta(n, j=1):
         return Fraction(1)
     if n == 2:
         return Fraction(-1)
-    ctx = _ctx(n)
-    return CycloElement(n, ctx.reduce_monomial(j))
+    return CycloElement(n, _zeta_power(n, j))
 
 
 def scalar_order(a):
@@ -569,7 +498,9 @@ def unit_decompose(a):
         w = w.rational_value()
     q = rational_nth_root(w, e)
     if q is None:
-        raise RootNotCyclotomic(f"{render_scalar(a)}^{e} = {w} has no rational {e}-th root")
+        raise RootNotCyclotomic(
+            f"{render_scalar(a)}^{e} = {render_scalar(w)} has no rational {e}-th root"
+        )
     z = a / q
     # match z against the E-th roots of unity
     zz = zeta(e)
@@ -589,72 +520,35 @@ def unit_decompose(a):
 
 
 def _ff_poly_is_irreducible(coeffs, p):
-    """Irreducibility over F_p of a monic poly given ascending (small degree)."""
+    """Rabin's irreducibility test over F_p of a monic poly given ascending."""
     k = len(coeffs) - 1
     if k == 1:
         return True
     if coeffs[0] == 0:
         return False
-    # x^(p^d) mod f, checking gcd conditions for d | k, plus x^(p^k) = x
-    def polymulmod(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % p
-        # reduce mod coeffs (monic)
-        for i in range(len(out) - 1, k - 1, -1):
-            c = out[i]
-            if c:
-                for j in range(k + 1):
-                    out[i - k + j] = (out[i - k + j] - c * coeffs[j]) % p
-        out = out[:k]
-        while out and out[-1] == 0:
-            out.pop()
-        return out
 
-    def polypow_x(e):
-        base = [0, 1]
-        # compute x^e mod f by binary powering on the exponent e
-        result = [1]
+    def x_power_minus_x(e):
+        # x^e - x mod f, by square-and-multiply
+        out, base = [1] + [0] * (k - 1), [0, 1] + [0] * (k - 2)
         while e:
             if e & 1:
-                result = polymulmod(result, base)
-            base = polymulmod(base, base)
+                out = [c % p for c in _mulmod(out, base, coeffs)]
+            base = [c % p for c in _mulmod(base, base, coeffs)]
             e >>= 1
-        return result
-
-    def polygcd(a, b):
-        a, b = list(a), list(b)
-        while b:
-            # a mod b
-            inv = pow(b[-1], p - 2, p)
-            while len(a) >= len(b):
-                c = (a[-1] * inv) % p
-                if c:
-                    off = len(a) - len(b)
-                    for j in range(len(b)):
-                        a[off + j] = (a[off + j] - c * b[j]) % p
-                a.pop()
-                while a and a[-1] == 0:
-                    a.pop()
-                if not a:
-                    break
-            a, b = b, a
-        return a
+        out[1] = (out[1] - 1) % p
+        return out
 
     for q in factorint(k):
-        xp = polypow_x(p ** (k // q))
-        diff = list(xp) + [0] * max(0, 2 - len(xp))
-        diff[1] = (diff[1] - 1) % p
-        while diff and diff[-1] == 0:
-            diff.pop()
-        if len(polygcd(list(coeffs), diff)) != 1:
+        # Euclid over F_p: gcd(f, x^(p^(k/q)) - x) must be a constant
+        a, b = list(coeffs), x_power_minus_x(p ** (k // q))
+        while any(b):
+            while not b[-1]:
+                b.pop()
+            inv = pow(b[-1], -1, p)
+            a, b = b, [c % p for c in _divmod_monic(a, [c * inv % p for c in b])[1]]
+        if len(a) != 1:
             return False
-    xpk = polypow_x(p**k)
-    xpk = list(xpk) + [0] * max(0, 2 - len(xpk))
-    xpk[1] = (xpk[1] - 1) % p
-    return not any(xpk)
+    return not any(x_power_minus_x(p**k))
 
 
 def default_modulus(p, k):
@@ -876,18 +770,8 @@ class FiniteFieldElement:
         p, k = f.p, f.k
         if k == 1:
             return FiniteFieldElement(f, ((self.coeffs[0] * o.coeffs[0]) % p,))
-        conv = [0] * (2 * k - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(o.coeffs):
-                    if y:
-                        conv[i + j] = (conv[i + j] + x * y) % p
-        for i in range(2 * k - 2, k - 1, -1):
-            c = conv[i]
-            if c:
-                for j in range(k + 1):
-                    conv[i - k + j] = (conv[i - k + j] - c * f.modulus[j]) % p
-        return FiniteFieldElement(f, tuple(conv[:k]))
+        prod = _mulmod(self.coeffs, o.coeffs, f.modulus)
+        return FiniteFieldElement(f, tuple([c % p for c in prod]))
 
     __rmul__ = __mul__
 
@@ -1005,27 +889,6 @@ class CycloField:
 QQ = CycloField(1)
 
 
-def field_arith(a, b, op):
-    """Uniform scalar arithmetic entry point: op in {add, sub, mul, div}."""
-    mixed_p = isinstance(a, FiniteFieldElement) != isinstance(b, FiniteFieldElement)
-    if mixed_p and not isinstance(a, (int, Fraction)) and not isinstance(b, (int, Fraction)):
-        raise FieldMismatch("cannot mix characteristic 0 and p scalars")
-    try:
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        if op == "div":
-            if not b:
-                raise DivisionByZero("division by zero")
-            return a / b
-    except TypeError:
-        raise FieldMismatch(f"incompatible operands {a!r}, {b!r}")
-    raise ValueError(f"unknown op {op!r}")
-
-
 def scalar_key(a):
     """Canonical hashable key of a scalar, stable across stored orders."""
     if isinstance(a, int):
@@ -1037,6 +900,25 @@ def scalar_key(a):
 
 # ---------------------------------------------------------------------------
 # text rendering of scalars
+
+
+# str(int) refuses numbers above 4300 digits, so longer ones are written in
+# blocks of 4000 digits
+_BLOCK = 10**4000
+
+
+def _render_rational(q):
+    """Exact text of a rational (or int) as str() writes it, of any size."""
+
+    def digits(n):
+        blocks = []
+        while n >= _BLOCK:
+            n, lo = divmod(n, _BLOCK)
+            blocks.append(str(lo).zfill(4000))
+        return str(n) + "".join(reversed(blocks))
+
+    text = "-" * (q < 0) + digits(abs(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{digits(q.denominator)}"
 
 
 def _render_qpoly(coeffs, varname):
@@ -1052,13 +934,13 @@ def _render_qpoly(coeffs, varname):
         else:
             mon = f"{varname}^{i}"
         if mon is None:
-            body = str(c)
+            body = _render_rational(c)
         elif c == 1:
             body = mon
         elif c == -1:
             body = f"-{mon}"
         else:
-            body = f"{c}*{mon}"
+            body = f"{_render_rational(c)}*{mon}"
         if terms and not body.startswith("-"):
             terms.append(f" + {body}")
         elif terms:
@@ -1072,12 +954,12 @@ def render_scalar(a, gf_suffix=True):
     if isinstance(a, int):
         a = Fraction(a)
     if isinstance(a, Fraction):
-        return str(a)
+        return _render_rational(a)
     if isinstance(a, CycloElement):
         return _render_qpoly(a.coeffs, f"z{a.order}")
     if isinstance(a, FiniteFieldElement):
         f = a.field
-        body = _render_qpoly([Fraction(c) for c in a.coeffs], "t")
+        body = _render_qpoly(a.coeffs, "t")
         if not gf_suffix:
             return body
         tag = f"@GF({f.p}^{f.k})" if f.k > 1 else f"@GF({f.p})"

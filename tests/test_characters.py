@@ -16,7 +16,6 @@ from binomials.characters import (
     character_from_cellular,
     character_saturations,
     ideal_from_character,
-    is_prime_character,
     laurent_primary_decomposition,
     relation_lattice,
 )
@@ -161,12 +160,8 @@ def test_extension_field_requirements():
 
 
 def test_is_prime_character():
-    assert is_prime_character(
-        PartialCharacter((0,), Lattice(1, [[1]]), (Fraction(7),), QQ)
-    )
-    assert not is_prime_character(
-        PartialCharacter((0,), Lattice(1, [[2]]), (Fraction(1),), QQ)
-    )
+    assert PartialCharacter((0,), Lattice(1, [[1]]), (Fraction(7),), QQ).is_saturated()
+    assert not PartialCharacter((0,), Lattice(1, [[2]]), (Fraction(1),), QQ).is_saturated()
 
 
 def test_binomial_prime_components():

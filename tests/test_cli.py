@@ -192,6 +192,26 @@ def test_huge_exponents_stay_cheap():
     assert "radical = x^1000000000000 - z3" in out
 
 
+def test_huge_rational_is_printed_exactly():
+    # each factor passes the constant-power bound; their product 3^10000 has
+    # 4772 digits, past the 4300 that str(int) writes
+    proc = subprocess.run(
+        [sys.executable, "-m", "binomials.cli"],
+        input="ring QQ[x]; ideal I = x - 3^2000*3^2000*3^2000*3^2000*3^2000; radical I;",
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(3**10000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(digits) == 4772
+    assert f"radical = x - {digits}\n" in proc.stdout
+
+
 def test_large_prime_field_header():
     out = run("ring GF(1000000000000000003)[x]; ideal I = x; radical I;")
     assert "radical = x" in out

@@ -1,7 +1,6 @@
 import random
 
 from binomials.intlattice import (
-    IntMatrix,
     Lattice,
     det,
     hnf,
@@ -178,10 +177,6 @@ def test_unimodular_inverse():
     assert mat_mul(m, unimodular_inverse(m)) == [[1, 0], [0, 1]]
 
 
-def test_intmatrix_json_roundtrip():
-    m = IntMatrix([[12, -6], [0, 10**30]])
-    data = m.to_json()
-    assert data == [["12", "-6"], ["0", str(10**30)]]
-    assert IntMatrix.from_json(data) == m
-    u, d, v = m.smith_normal_form()
-    assert d.entries[0][0] and d.entries[1][1] % d.entries[0][0] == 0
+def test_snf_divisibility_large_entries():
+    u, d, v = smith_normal_form([[12, -6], [0, 10**30]])
+    assert d[0][0] and d[1][1] % d[0][0] == 0

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,10 +15,11 @@ from binomials.errors import (
 from binomials.poly import Ring, parse_scalar
 from binomials.scalars import (
     QQ,
+    CycloElement,
     FiniteField,
+    _ff_poly_is_irreducible,
     cyclotomic_polynomial,
     factorint,
-    field_arith,
     is_prime,
     render_scalar,
     scalar_key,
@@ -27,10 +29,10 @@ from binomials.scalars import (
 
 
 def test_rational_arithmetic():
-    assert field_arith(Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
-    assert field_arith(Fraction(3), Fraction(2), "div") == Fraction(3, 2)
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
+    assert Fraction(3) / Fraction(2) == Fraction(3, 2)
     with pytest.raises(DivisionByZero):
-        field_arith(Fraction(1), Fraction(0), "div")
+        zeta(3) / Fraction(0)
 
 
 def test_zeta4_squares_to_minus_one():
@@ -41,14 +43,16 @@ def test_zeta4_squares_to_minus_one():
 
 def test_gf5_division():
     F5 = FiniteField(5)
-    assert field_arith(F5.scalar(3), F5.scalar(2), "div") == F5.scalar(4)
+    assert F5.scalar(3) / F5.scalar(2) == F5.scalar(4)
+    with pytest.raises(DivisionByZero):
+        F5.scalar(1) / F5.scalar(0)
 
 
 def test_field_mismatch():
     F5 = FiniteField(5)
     F7 = FiniteField(7)
     with pytest.raises(FieldMismatch):
-        field_arith(F5.scalar(1), F7.scalar(1), "add")
+        F5.scalar(1) + F7.scalar(1)
 
 
 def test_cyclotomic_polynomials():
@@ -219,3 +223,82 @@ def test_is_prime_miller_rabin():
     # the bound itself is the first strong pseudoprime to all 13 bases
     with pytest.raises(BadFieldSpec):
         is_prime(3317044064679887385961981)
+
+
+# -- the residue-ring kernel against schoolbook arithmetic -------------------
+
+
+def ref_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def ref_rem(num, f, p=0):
+    """Remainder of num by the monic f by long division, padded to deg f."""
+    num = list(num)
+    while len(num) >= len(f):
+        shifted = [0] * (len(num) - len(f)) + [num[-1] * c for c in f]
+        num = [a - b for a, b in zip(num, shifted)][:-1]
+    num += [0] * (len(f) - 1 - len(num))
+    return [c % p for c in num] if p else num
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 12, 15, 60])
+def test_cyclotomic_kernel_against_schoolbook(n):
+    # x^n - 1 is the product of the Phi_d over the divisors d of n
+    prod = [1]
+    for d in range(1, n + 1):
+        if n % d == 0:
+            prod = ref_mul(prod, cyclotomic_polynomial(d))
+    assert prod == [-1] + [0] * (n - 1) + [1]
+    phi = list(cyclotomic_polynomial(n))
+    deg = len(phi) - 1
+    for j in range(1, 2 * n):
+        assert list((zeta(n) ** j).coeffs) == ref_rem([0] * j + [1], phi)
+    rnd = random.Random(n)
+
+    def element():
+        return CycloElement(n, tuple(
+            Fraction(rnd.randint(-5, 5), rnd.randint(1, 4)) * rnd.randint(0, 1)
+            for _ in range(deg)
+        ))
+
+    for _ in range(25):
+        a, b = element(), element()
+        assert list((a * b).coeffs) == ref_rem(ref_mul(a.coeffs, b.coeffs), phi)
+        if a:
+            inv = a.inverse().coeffs
+            assert ref_rem(ref_mul(a.coeffs, inv), phi) == [1] + [0] * (deg - 1)
+        if b:
+            assert a / b * b == a
+
+
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 2), (5, 2), (5, 4), (7, 3)])
+def test_finite_field_kernel_against_schoolbook(p, k):
+    F = FiniteField(p, k)
+    elements = F.elements()
+    rnd = random.Random(p**k)
+    for _ in range(200):
+        a, b = rnd.choice(elements), rnd.choice(elements)
+        ref = ref_rem(ref_mul(a.coeffs, b.coeffs), F.modulus, p)
+        assert list((a * b).coeffs) == ref
+    for a in elements:
+        assert a ** (p**k) == a
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_irreducibility_against_trial_division(p):
+    def monic(deg):
+        return [list(low) + [1] for low in product(range(p), repeat=deg)]
+
+    for deg in (2, 3, 4):
+        for f in monic(deg):
+            reducible = any(
+                not any(ref_rem(f, g, p))
+                for e in range(1, deg // 2 + 1)
+                for g in monic(e)
+            )
+            assert _ff_poly_is_irreducible(f, p) != reducible, f
