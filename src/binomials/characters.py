@@ -7,6 +7,7 @@ here realize the two-way correspondence with saturated binomial ideals and
 the saturation/extension calculus that drives every decomposition step.
 """
 
+from itertools import product
 from math import lcm, prod
 
 from . import checks
@@ -17,9 +18,30 @@ from .errors import (
     RootNotInField,
 )
 from .ideals import Ideal, cell_product, eliminate, saturate_monomial
-from .intlattice import Lattice, _p_part, hnf_with_transform, kernel, transpose
+from .intlattice import Lattice, hnf_with_transform, kernel, transpose
 from .poly import render_poly
-from .scalars import factorint, scalar_key, unit_decompose
+from .scalars import factorint, p_part, scalar_key, unit_decompose
+
+
+def _evaluate(field, coefs, values):
+    """prod values_i^coefs_i: a character's value on integer coordinates."""
+    acc = field.one
+    for coef, val in zip(coefs, values):
+        if coef:
+            acc = acc * (val**coef)
+    return acc
+
+
+def lattice_binomial(ring, cell, m, value):
+    """x^(m+) − value·x^(m−) for a vector m over the cell's coordinates."""
+    plus = [0] * ring.nvars
+    minus = [0] * ring.nvars
+    for pos, x in zip(cell, m):
+        if x > 0:
+            plus[pos] = x
+        elif x < 0:
+            minus[pos] = -x
+    return ring.monomial(tuple(plus)) - ring.monomial(tuple(minus)) * value
 
 
 class PartialCharacter:
@@ -52,11 +74,7 @@ class PartialCharacter:
         if verify:
             rel = kernel(transpose(vectors))
             for a in rel:
-                acc = field.one
-                for coef, val in zip(a, values):
-                    if coef:
-                        acc = acc * (val**coef)
-                if acc != field.one:
+                if _evaluate(field, a, values) != field.one:
                     raise InconsistentCharacter(
                         "inconsistent character values on relations"
                     )
@@ -68,12 +86,8 @@ class PartialCharacter:
         for i, row in enumerate(h):
             if not any(row):
                 continue
-            acc = field.one
-            for coef, val in zip(t[i], values):
-                if coef:
-                    acc = acc * (val**coef)
             basis_rows.append(tuple(row))
-            new_vals.append(acc)
+            new_vals.append(_evaluate(field, t[i], values))
         assert tuple(basis_rows) == lat.basis
         return cls(cell, lat, new_vals, field)
 
@@ -82,11 +96,7 @@ class PartialCharacter:
         coords = self.lattice.express(list(m))
         if coords is None:
             raise ValueError("vector not in the character's lattice")
-        acc = self.field.one
-        for c, v in zip(coords, self.values):
-            if c:
-                acc = acc * (v**c)
-        return acc
+        return _evaluate(self.field, coords, self.values)
 
     @property
     def rank(self):
@@ -145,44 +155,24 @@ def extend_all(rho, sup):
             return [rho]
         raise ValueError("zero lattice has no finite-index proper superlattice")
     sup_rows, factors, u = lat.diagonalized_inclusion(sup)
-    # value on factors[i] * sup_rows[i]: transform through u
-    base_vals = []
-    for i, f in enumerate(factors):
-        acc = rho.field.one
-        for coef, val in zip(u[i], rho.values):
-            if coef:
-                acc = acc * (val**coef)
-        base_vals.append(acc)
     root_lists = []
-    for f, c in zip(factors, base_vals):
+    for f, u_i in zip(factors, u):
+        # the value on factors[i] * sup_rows[i], transformed through u
+        c = _evaluate(rho.field, u_i, rho.values)
         if f == 1:
             root_lists.append([c])
             continue
         roots = rho.field.dth_roots(c, f)
-        expected = f // _p_part(f, rho.field.char)
+        expected = f // p_part(f, rho.field.char)
         if len(roots) != expected:
             raise RootNotInField(
                 f"field has only {len(roots)} of the {expected} required {f}-th roots"
             )
         root_lists.append(roots)
-    out = []
-    idx = [0] * len(root_lists)
-    total = 1
-    for rl in root_lists:
-        total *= len(rl)
-    for flat in range(total):
-        v = flat
-        choice = []
-        for rl in reversed(root_lists):
-            choice.append(rl[v % len(rl)])
-            v //= len(rl)
-        choice.reverse()
-        out.append(
-            PartialCharacter.from_generators(
-                rho.cell, sup_rows, choice, rho.field, verify=False
-            )
-        )
-    return out
+    return [
+        PartialCharacter.from_generators(rho.cell, sup_rows, choice, rho.field, verify=False)
+        for choice in product(*root_lists)
+    ]
 
 
 def extend_unique(rho, sup):
@@ -237,13 +227,13 @@ def laurent_primary_decomposition(rho):
 
 
 def laurent_multiplicity(rho):
-    """|Sat_p(L)/L|: the multiplicity of each primary component of I(rho)."""
-    lat = rho.lattice
-    sat_p, _, _ = lat.p_saturations(rho.field.char)
-    if sat_p == lat:
-        return 1
-    _, factors, _ = lat.diagonalized_inclusion(sat_p)
-    return prod(factors)
+    """|Sat_p(L)/L|: the multiplicity of each primary component of I(rho).
+
+    Sat_p(L) = span{(d_i / q_i) w_i} for L = span{d_i w_i} with q_i the
+    p-part of d_i, so the index is the product of the q_i.
+    """
+    _, factors = rho.lattice.diagonal_data()
+    return prod(p_part(d, rho.field.char) for d in factors)
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +247,10 @@ def ideal_from_character(ring, rho):
     with respect to the product of the cell variables, which realizes the
     full generating set over the whole lattice.
     """
-    gens = []
-    n = ring.nvars
-    for row, val in zip(rho.lattice.basis, rho.values):
-        plus = [0] * n
-        minus = [0] * n
-        for pos, x in zip(rho.cell, row):
-            if x > 0:
-                plus[pos] = x
-            elif x < 0:
-                minus[pos] = -x
-        gens.append(ring.monomial(tuple(plus)) - ring.monomial(tuple(minus)) * val)
+    gens = [
+        lattice_binomial(ring, rho.cell, row, val)
+        for row, val in zip(rho.lattice.basis, rho.values)
+    ]
     base = Ideal(ring, gens)
     if not gens:
         return base

@@ -23,6 +23,7 @@ from .characters import (
     character_prime_ideal,
     character_saturations,
     ideal_from_character,
+    lattice_binomial,
     p_saturation,
 )
 from .ideals import (
@@ -41,12 +42,11 @@ from .ideals import (
     saturation_exponent,
     standard_monomials,
     nonzerodivisor_variables,
-    radical_membership,
     _ladder,
 )
-from .intlattice import Lattice, _p_part
+from .intlattice import Lattice
 from .poly import Polynomial
-from .scalars import scalar_order
+from .scalars import p_part, scalar_order
 
 
 class CellularComponent:
@@ -208,14 +208,18 @@ def _char_sort_key(ch):
 
 def is_cellular(i):
     """(cellular?, cell).  Cellular: cell variables are nonzerodivisors, the
-    others nilpotent, and I is saturated with respect to the cell product."""
+    others nilpotent, and I is saturated with respect to the cell product.
+
+    x_v is nilpotent iff no prime over I avoids it, i.e. iff v lies in no
+    proper cell: a minimal prime's cell is proper, and a proper cell carries
+    a prime over I that avoids its variables.
+    """
     if i.is_unit() or i.is_zero():
         return (not i.is_unit(), tuple(range(i.ring.nvars)))
     cell = nonzerodivisor_variables(i)
-    off = [v for v in range(i.ring.nvars) if v not in set(cell)]
-    for v in off:
-        if not radical_membership(i, i.ring.var(v)):
-            return (False, cell)
+    off = set(range(i.ring.nvars)) - set(cell)
+    if off and any(off.intersection(z) for z, _ in cell_scan(i)):
+        return (False, cell)
     return (True, cell)
 
 
@@ -423,18 +427,6 @@ def associated_primes(i, cell=None):
 # hull / localization at minimal primes (both colon cases)
 
 
-def _binomial_from_vector(ring, cell, m, value):
-    n = ring.nvars
-    plus = [0] * n
-    minus = [0] * n
-    for pos, x in zip(cell, m):
-        if x > 0:
-            plus[pos] = x
-        elif x < 0:
-            minus[pos] = -x
-    return ring.monomial(tuple(plus)) - ring.monomial(tuple(minus)) * value
-
-
 def localize(i, j, cell=None, max_escalation=20):
     """I_(J): intersection of the primary components of I contained in a
     minimal prime of J (both cellular with respect to the same cell).
@@ -487,7 +479,7 @@ def _colon_case_finite(cur, sigma, rho, cell, max_escalation):
     if m is None:
         raise BinomialsError("agreement lattice computation is inconsistent")
     sv = sigma.value(m)
-    b = _binomial_from_vector(ring, cell, m, sv)
+    b = lattice_binomial(ring, cell, m, sv)
     ratio = rho.value(m) / sv
     o = 1
     acc = ratio
@@ -499,7 +491,7 @@ def _colon_case_finite(cur, sigma, rho, cell, max_escalation):
     p = ring.field.char
     for k in range(1, max_escalation + 1):
         d = o * _ladder(k)
-        q = _p_part(d, p)
+        q = p_part(d, p)
         out = colon_quasipower_ratio(cur, b, d, q)
         if not out.is_binomial():
             continue
@@ -520,7 +512,7 @@ def _colon_case_infinite(cur, rho, lat, cell, max_escalation):
             break
     if m is None:
         raise BinomialsError("no infinite-order direction found")
-    b = _binomial_from_vector(ring, cell, m, rho.value(m))
+    b = lattice_binomial(ring, cell, m, rho.value(m))
     for k in range(1, max_escalation + 1):
         d = _ladder(k)
         bd = quasi_power(b, d)
@@ -673,9 +665,7 @@ def _primary_candidates(i, max_escalation):
 
 def circuit_ideal(ring, rho):
     """C(rho): binomials of the circuits of the (saturated) lattice."""
-    gens = []
-    for c in rho.lattice.circuits():
-        gens.append(_binomial_from_vector(ring, rho.cell, c, rho.value(c)))
+    gens = [lattice_binomial(ring, rho.cell, c, rho.value(c)) for c in rho.lattice.circuits()]
     return Ideal(ring, gens)
 
 

@@ -19,7 +19,6 @@ from .errors import (
     NotTwoTerm,
 )
 from .groebner import groebner_basis
-from .intlattice import _p_part
 from .poly import (
     DEGREVLEX,
     MonomialOrder,
@@ -31,6 +30,7 @@ from .poly import (
     mono_divides,
     render_poly,
 )
+from .scalars import p_part
 
 
 class Ideal:
@@ -220,14 +220,6 @@ def saturate_poly(i, f):
     return _with_aux(
         i, lambda up, t: [up(g) for g in i.gens] + [t * up(f) - t.ring.one]
     )
-
-
-def radical_membership(i, f):
-    """f ∈ √I, decided by whether (I : f^∞) is the unit ideal... for f with
-    1 ∈ I + (t·f − 1), i.e. by Rabinowitsch's trick."""
-    if not f.terms:
-        return True
-    return saturate_poly(i, f).is_unit()
 
 
 def divide_exact(g, f, order=DEGREVLEX):
@@ -432,14 +424,9 @@ def check_nonzerodivisor_lead(i, b):
         )
 
 
-_LADDER_CACHE = [1]
-
-
 def _ladder(k):
     """lcm(1..k); the escalation ladder for 'sufficiently divisible' d."""
-    while len(_LADDER_CACHE) < k:
-        _LADDER_CACHE.append(lcm(_LADDER_CACHE[-1], len(_LADDER_CACHE) + 1))
-    return _LADDER_CACHE[k - 1]
+    return lcm(*range(1, k + 1))
 
 
 def colon_quasipower(i, b, d=None, max_escalation=20):
@@ -477,7 +464,7 @@ def colon_quasipower_ratio(i, b, d, e):
     """
     if d % e:
         raise ValueError("need e | d")
-    if e % _p_part(d, i.ring.field.char):
+    if e % p_part(d, i.ring.field.char):
         raise ValueError("need q | e for the p-part q of d")
     check_nonzerodivisor_lead(i, b)
     if d == e:

@@ -6,11 +6,11 @@ All arithmetic is arbitrary-precision.  HNF is the canonical representation
 and the diagonalized inclusions used for character extensions.
 """
 
-from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 from . import checks
+from .scalars import p_part
 
 
 def _identity(n):
@@ -130,24 +130,27 @@ def kernel(rows):
 
 
 def smith_normal_form(rows):
-    """(U, D, V) with U*A*V = D diagonal, d_1 | d_2 | ..., U, V unimodular."""
+    """(U, D, W) with U*A = D*W diagonal, d_1 | d_2 | ..., U, W unimodular.
+
+    W is the inverse of the column transform: each column operation on A is
+    undone by one row operation on W, so no matrix is ever inverted.
+    """
     a = [list(r) for r in rows]
     n = len(a)
     m = len(a[0]) if a else 0
     u = _identity(n)
-    v = _identity(m)
+    w = _identity(m)
 
     def col_op(j1, j2, q):
+        # col j2 -= q * col j1 on A is undone by row j1 += q * row j2 on W
         for row in a:
             row[j2] -= q * row[j1]
-        for row in v:
-            row[j2] -= q * row[j1]
+        w[j1] = [x + q * y for x, y in zip(w[j1], w[j2])]
 
     def col_swap(j1, j2):
         for row in a:
             row[j1], row[j2] = row[j2], row[j1]
-        for row in v:
-            row[j1], row[j2] = row[j2], row[j1]
+        w[j1], w[j2] = w[j2], w[j1]
 
     def row_op(i1, i2, q):
         a[i2] = [x - q * y for x, y in zip(a[i2], a[i1])]
@@ -164,9 +167,9 @@ def smith_normal_form(rows):
         best = None
         for i in range(k, n):
             for j in range(k, m):
-                w = abs(a[i][j])
-                if w and (best is None or w < best):
-                    best = w
+                v = abs(a[i][j])
+                if v and (best is None or v < best):
+                    best = v
                     piv = (i, j)
         if piv is None:
             break
@@ -195,10 +198,7 @@ def smith_normal_form(rows):
             for j in range(k + 1, m):
                 if a[i][j] % a[k][k]:
                     # add column j to column k and restart this pivot
-                    for row in a:
-                        row[k] += row[j]
-                    for row in v:
-                        row[k] += row[j]
+                    col_op(j, k, -1)
                     stable = False
                     break
             if not stable:
@@ -207,52 +207,12 @@ def smith_normal_form(rows):
             if a[k][k] < 0:
                 for row in a:
                     row[k] = -row[k]
-                for row in v:
-                    row[k] = -row[k]
+                w[k] = [-x for x in w[k]]
             k += 1
     if checks.ENABLED:
-        prod = mat_mul(mat_mul(u, [list(r) for r in rows]), v)
-        assert prod == a, "SNF transform identity violated"
-        assert abs(det(u)) == 1 and abs(det(v)) == 1, "SNF transforms not unimodular"
-    return u, a, v
-
-
-def invariant_factors(rows):
-    _, d, _ = smith_normal_form(rows)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i]:
-            out.append(d[i][i])
-    return out
-
-
-def unimodular_inverse(m):
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if a[i][c])
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    out = [[int(a[i][n + j]) for j in range(n)] for i in range(n)]
-    if checks.ENABLED:
-        assert mat_mul(m, out) == _identity(n)
-    return out
-
-
-def _p_part(d, p):
-    if p == 0:
-        return 1
-    q = 1
-    while d % p == 0:
-        d //= p
-        q *= p
-    return q
+        assert mat_mul(u, [list(r) for r in rows]) == mat_mul(a, w), "SNF identity U*A = D*W violated"
+        assert abs(det(u)) == 1 and abs(det(w)) == 1, "SNF transforms not unimodular"
+    return u, a, w
 
 
 class Lattice:
@@ -329,35 +289,30 @@ class Lattice:
         rows = [mat_mul([row[: len(b1)]], b1)[0] for row in ker]
         return Lattice(self.ambient, rows)
 
-    def saturation(self):
-        if not self.basis:
-            return Lattice(self.ambient)
-        comp = kernel(self.basis)
-        if not comp:
-            return Lattice.full(self.ambient)
-        return Lattice(self.ambient, kernel(comp))
+    def diagonal_data(self):
+        """(W, factors) from one Smith form of the basis B: U*B = D*W.
 
-    def _diagonal_data(self):
-        """W rows and invariant factors: lattice = span{d_i * w_i}."""
-        u, d, v = smith_normal_form([list(r) for r in self.basis])
-        w = unimodular_inverse(v)  # lattice rows = U^{-1} D W; row span of D W
-        factors = [d[i][i] for i in range(len(self.basis))]
-        return w, factors
+        W is unimodular and factors are the nonzero d_i, so L = span{d_i w_i}
+        and Sat(L) = span{w_i : i < rank}.  Every index question reads these.
+        """
+        _, d, w = smith_normal_form([list(r) for r in self.basis])
+        return w, [d[i][i] for i in range(len(self.basis))]
+
+    def saturation(self):
+        w, _ = self.diagonal_data()
+        return Lattice(self.ambient, w[: self.rank])
 
     def p_saturations(self, p):
         """(Sat_p, Sat'_p, g) per the p-primary splitting of Sat(L)/L.
 
         Convention for p = 0: Sat_0 = L and Sat'_0 = Sat(L).
         """
-        if not self.basis:
-            sat = Lattice(self.ambient)
-            return sat, sat, 1
-        w, factors = self._diagonal_data()
+        w, factors = self.diagonal_data()
         sat_p_rows = []
         sat_pp_rows = []
         g = 1
         for d_i, w_i in zip(factors, w):
-            q = _p_part(d_i, p)
+            q = p_part(d_i, p)
             rest = d_i // q
             g *= rest
             sat_p_rows.append([rest * x for x in w_i])
@@ -371,12 +326,7 @@ class Lattice:
 
     def quotient_order(self):
         """[Sat(L) : L], the product of the invariant factors."""
-        if not self.basis:
-            return 1
-        out = 1
-        for f in invariant_factors([list(r) for r in self.basis]):
-            out *= f
-        return out
+        return prod(self.diagonal_data()[1])
 
     def is_saturated(self):
         return self.quotient_order() == 1
@@ -390,8 +340,7 @@ class Lattice:
         """
         assert sup.contains_lattice(self)
         x = [sup.express(row) for row in self.basis]
-        u, d, v = smith_normal_form(x)
-        w = unimodular_inverse(v)
+        u, d, w = smith_normal_form(x)
         sup_rows = mat_mul(w, [list(r) for r in sup.basis])
         factors = [d[i][i] for i in range(len(self.basis))]
         # rows of U * self.basis equal factors[i] * sup_rows[i]

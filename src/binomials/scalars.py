@@ -55,6 +55,17 @@ def divisors(n):
     return small + large[::-1]
 
 
+def p_part(d, p):
+    """The largest power of p dividing d; 1 when p = 0 (characteristic zero)."""
+    if p == 0:
+        return 1
+    q = 1
+    while d % p == 0:
+        d //= p
+        q *= p
+    return q
+
+
 def factorint(n):
     """Trial-division factorization; returns {prime: multiplicity}."""
     n = abs(n)
@@ -580,18 +591,20 @@ class FiniteField:
     _registry = {}
 
     def __new__(cls, p, k=1, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if k < 1:
-            raise ValueError(f"extension degree {k} is not positive")
-        if modulus is None:
-            modulus = default_modulus(p, k)
-        key = (p, k, tuple(modulus))
+        # the default modulus is searched for only on a field's first use
+        key = (p, k, None if modulus is None else tuple(modulus))
         inst = cls._registry.get(key)
         if inst is None:
-            inst = super().__new__(cls)
-            inst._init(p, k, tuple(modulus))
-            cls._registry[key] = inst
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+            if k < 1:
+                raise ValueError(f"extension degree {k} is not positive")
+            full = (p, k, default_modulus(p, k) if modulus is None else key[2])
+            inst = cls._registry.get(full)
+            if inst is None:
+                inst = super().__new__(cls)
+                inst._init(*full)
+            cls._registry[key] = cls._registry[full] = inst
         return inst
 
     def _init(self, p, k, modulus):
@@ -693,14 +706,10 @@ class FiniteField:
         if not c:
             return [self.zero]
         p, k = self.p, self.k
-        e = 0
-        while d % p == 0:
-            d //= p
-            e += 1
-        # p-part: inverse Frobenius is x -> x^(p^(k-1))
-        root = c
-        for _ in range(e):
-            root = root ** (p ** (k - 1))
+        q = p_part(d, p)
+        d //= q
+        # the p-part root is unique: inverse Frobenius x -> x^(p^(k-1)), q-fold
+        root = c ** (q ** (k - 1))
         if d == 1:
             return [root]
         m = self.units_order

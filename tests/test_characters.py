@@ -16,6 +16,7 @@ from binomials.characters import (
     character_from_cellular,
     character_saturations,
     ideal_from_character,
+    laurent_multiplicity,
     laurent_primary_decomposition,
     relation_lattice,
 )
@@ -129,6 +130,25 @@ def test_laurent_primary_decomposition_multiplicity():
     rho0 = PartialCharacter((0,), Lattice(1, [[2]]), (Fraction(1),), QQ)
     dec0 = laurent_primary_decomposition(rho0)
     assert dec0["multiplicity"] == 1 and len(dec0["components"]) == 2
+
+
+def test_laurent_multiplicity_matches_inclusion_index():
+    # [Sat_p(L) : L] read off L's own factors equals the index of the
+    # diagonalized inclusion L ⊆ Sat_p(L)
+    rnd = random.Random(14)
+    fields = [QQ, FiniteField(2), FiniteField(3), FiniteField(5)]
+    for _ in range(150):
+        n = rnd.randint(1, 4)
+        rows = [[rnd.randint(-8, 8) for _ in range(n)] for _ in range(rnd.randint(1, n))]
+        lat = Lattice(n, rows)
+        field = rnd.choice(fields)
+        rho = PartialCharacter(tuple(range(n)), lat, (field.one,) * lat.rank, field)
+        sat_p, _, _ = lat.p_saturations(field.char)
+        _, factors, _ = lat.diagonalized_inclusion(sat_p)
+        index = 1
+        for f in factors:
+            index *= f
+        assert laurent_multiplicity(rho) == index
 
 
 def test_laurent_intersection_identity():

@@ -25,7 +25,14 @@ from binomials.decompose import (
     unmixed_decomposition,
 )
 from binomials.errors import RootNotInField
-from binomials.ideals import Ideal, cell_product, intersect_all, saturate_monomial
+from binomials.ideals import (
+    Ideal,
+    cell_product,
+    intersect_all,
+    nonzerodivisor_variables,
+    saturate_monomial,
+    saturate_poly,
+)
 from binomials.intlattice import Lattice
 from binomials.poly import Ring
 from binomials.scalars import QQ, CycloField, FiniteField
@@ -326,6 +333,28 @@ def test_primary_decomposition_frobenius_binomial():
     comps = primary_decomposition(Ideal(R, (x * x - y * y,)))
     assert len(comps) == 1
     assert comps[0].prime == Ideal(R, (x - y,))
+
+
+def test_is_cellular_against_rabinowitsch():
+    # reference: an off-cell x_v is nilpotent iff (I : x_v^inf) is the unit ideal
+    rnd = random.Random(15)
+    outcomes = set()
+    for _ in range(150):
+        R = Ring(rnd.choice([QQ, FiniteField(5)]), ["x", "y", "z"])
+        gens = []
+        for _ in range(rnd.randint(1, 3)):
+            e1 = tuple(rnd.randint(0, 3) for _ in range(3))
+            e2 = tuple(rnd.randint(0, 3) for _ in range(3))
+            gens.append(R.monomial(e1) - R.monomial(e2) * rnd.choice([0, 1, -1, 2]))
+        I = Ideal(R, gens)
+        if I.is_unit() or I.is_zero():
+            continue
+        cell = nonzerodivisor_variables(I)
+        off = [v for v in range(3) if v not in cell]
+        expected = all(saturate_poly(I, R.var(v)).is_unit() for v in off)
+        assert is_cellular(I) == (expected, cell), gens
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_thickened_line_not_primary():

@@ -5,10 +5,9 @@ from binomials.intlattice import (
     det,
     hnf,
     hnf_with_transform,
-    invariant_factors,
+    kernel,
     mat_mul,
     smith_normal_form,
-    unimodular_inverse,
 )
 
 
@@ -47,8 +46,9 @@ def test_snf_against_minor_gcd_oracle():
     for _ in range(60):
         n, m = rnd.randint(1, 3), rnd.randint(1, 3)
         a = [[rnd.randint(-6, 6) for _ in range(m)] for _ in range(n)]
-        u, d, v = smith_normal_form(a)
-        assert mat_mul(mat_mul(u, a), v) == d
+        u, d, w = smith_normal_form(a)
+        assert mat_mul(u, a) == mat_mul(d, w)
+        assert abs(det(u)) == 1 and abs(det(w)) == 1
         diag = [d[i][i] for i in range(min(n, m)) if d[i][i]]
         assert diag == brute_force_snf_diag(a)
 
@@ -58,8 +58,9 @@ def test_snf_transform_reverified(checked):
     for _ in range(40):
         n, m = rnd.randint(1, 4), rnd.randint(1, 4)
         a = [[rnd.randint(-9, 9) for _ in range(m)] for _ in range(n)]
-        u, d, v = smith_normal_form(a)  # checks fixture re-verifies U*A*V = D
-        assert abs(det(u)) == 1 and abs(det(v)) == 1
+        u, d, w = smith_normal_form(a)  # checks fixture re-verifies U*A = D*W
+        assert mat_mul(u, a) == mat_mul(d, w)
+        assert abs(det(u)) == 1 and abs(det(w)) == 1
 
 
 def test_hnf_canonical():
@@ -110,9 +111,6 @@ def test_p_saturation_identities(checked):
             sp, spp, g = lat.p_saturations(p)
             if p:
                 assert g % p != 0
-            q = 1
-            for f in invariant_factors([list(r) for r in sp.basis]):
-                q *= 1
             assert sp.contains_lattice(lat) and spp.contains_lattice(lat)
 
 
@@ -172,11 +170,26 @@ def test_diagonalized_inclusion():
     assert Lattice(2, rows) == Lattice.full(2)
 
 
-def test_unimodular_inverse():
-    m = [[1, 2], [1, 3]]
-    assert mat_mul(m, unimodular_inverse(m)) == [[1, 0], [0, 1]]
-
-
 def test_snf_divisibility_large_entries():
-    u, d, v = smith_normal_form([[12, -6], [0, 10**30]])
+    a = [[12, -6], [0, 10**30]]
+    u, d, w = smith_normal_form(a)
     assert d[0][0] and d[1][1] % d[0][0] == 0
+    assert mat_mul(u, a) == mat_mul(d, w)
+    assert abs(det(u)) == 1 and abs(det(w)) == 1
+
+
+def double_kernel_saturation(lat):
+    # reference: Sat(L) is the kernel of the kernel of L's basis
+    if not lat.basis:
+        return Lattice(lat.ambient)
+    comp = kernel(lat.basis)
+    return Lattice(lat.ambient, kernel(comp)) if comp else Lattice.full(lat.ambient)
+
+
+def test_saturation_matches_double_kernel():
+    rnd = random.Random(13)
+    for _ in range(200):
+        n = rnd.randint(1, 5)
+        rows = [[rnd.randint(-8, 8) for _ in range(n)] for _ in range(rnd.randint(0, n))]
+        lat = Lattice(n, rows)
+        assert lat.saturation() == double_kernel_saturation(lat)

@@ -140,9 +140,9 @@ def suite_snf(instances=200, seed=104):
     for _ in range(instances):
         n, m = rnd.randint(1, 4), rnd.randint(1, 4)
         a = [[rnd.randint(-9, 9) for _ in range(m)] for _ in range(n)]
-        u, d, v = smith_normal_form(a)
-        ok = mat_mul(mat_mul(u, a), v) == d
-        ok = ok and abs(det(u)) == 1 and abs(det(v)) == 1
+        u, d, w = smith_normal_form(a)
+        ok = mat_mul(u, a) == mat_mul(d, w)
+        ok = ok and abs(det(u)) == 1 and abs(det(w)) == 1
         diag = [d[i][i] for i in range(min(n, m))]
         for i in range(len(diag) - 1):
             if diag[i + 1] and (not diag[i] or diag[i + 1] % diag[i]):

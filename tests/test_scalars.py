@@ -12,6 +12,7 @@ from binomials.errors import (
     RootNotCyclotomic,
     RootNotInField,
 )
+from binomials import scalars
 from binomials.poly import Ring, parse_scalar
 from binomials.scalars import (
     QQ,
@@ -19,6 +20,7 @@ from binomials.scalars import (
     FiniteField,
     _ff_poly_is_irreducible,
     cyclotomic_polynomial,
+    default_modulus,
     factorint,
     is_prime,
     render_scalar,
@@ -203,6 +205,22 @@ def test_finite_field_structure():
         FiniteField(4)
     with pytest.raises(ValueError):
         FiniteField(2, 2, (1, 0, 1))  # t^2+1 = (t+1)^2 over F_2
+
+
+def test_finite_field_lookup_skips_modulus_search(monkeypatch):
+    F = FiniteField(5, 4)
+    modulus = default_modulus(5, 4)
+    calls = []
+
+    def counted(coeffs, p):
+        calls.append(p)
+        return _ff_poly_is_irreducible(coeffs, p)
+
+    monkeypatch.setattr(scalars, "_ff_poly_is_irreducible", counted)
+    assert FiniteField(5, 4) is F
+    assert FiniteField(5, 4, modulus) is F
+    assert FiniteField(5, 4, list(modulus)) is F
+    assert calls == []
 
 
 def test_cyclo_inverse():
