@@ -298,13 +298,13 @@ def cell_character(gens, cell, field):
         return None
 
 
-def character_from_cellular(i, cell, field=None):
+def character_from_cellular(i, cell):
     """The unique rho whose lattice ideal is (I ∩ k[cell] : (∏ cell)^∞).
 
     Raises MonomialInIdeal when the cell ideal is the unit Laurent ideal.
     """
     cell = tuple(sorted(cell))
-    rho = cell_character(eliminate(i, cell).gens, cell, field or i.ring.field)
+    rho = cell_character(eliminate(i, cell).gens, cell, i.ring.field)
     if rho is None:
         raise MonomialInIdeal("cell ideal contains a monomial in the cell variables")
     return rho
@@ -316,20 +316,6 @@ def character_prime_ideal(ring, rho):
     outside = [v for v in range(ring.nvars) if v not in set(rho.cell)]
     gens = tuple(ring.var(v) for v in outside) + base.gens
     return Ideal(ring, gens)
-
-
-def binomial_prime_components(p_ideal):
-    """Primality test for binomial ideals.
-
-    Returns (is_prime, cell, rho_or_None).  A binomial ideal is prime iff it
-    splits as (variables outside the cell) + I_+(rho) with rho saturated.
-    """
-    ring = p_ideal.ring
-    cell = tuple(v for v in range(ring.nvars) if not p_ideal.contains(ring.var(v)))
-    rho = cell_character(p_ideal.gb().polys, cell, ring.field)
-    if rho is None or not rho.is_saturated():
-        return (False, cell, rho)
-    return (character_prime_ideal(ring, rho) == p_ideal, cell, rho)
 
 
 # ---------------------------------------------------------------------------

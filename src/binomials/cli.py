@@ -307,7 +307,7 @@ def _laurent_multiplicity(pc):
     return laurent_multiplicity(tau)
 
 
-def run_command(cmd, name, ideal, order, verify, max_escalation):
+def run_command(cmd, name, ideal, order, verify):
     """Execute one command; returns (json_record, human_text_lines)."""
     ring = ideal.ring
     rec = {
@@ -348,7 +348,7 @@ def run_command(cmd, name, ideal, order, verify, max_escalation):
             rec["certificates"]["intersection_is_radical"] = ok
             lines += [f"intersection equals radical: {ok}"]
     elif cmd == "cellular":
-        comps = cellular_decomposition(ideal, max_escalation)
+        comps = cellular_decomposition(ideal)
         rec["cells"] = [_cells_names(ring, c.cell) for c in comps]
         rec["components"] = [
             {
@@ -368,7 +368,7 @@ def run_command(cmd, name, ideal, order, verify, max_escalation):
             chars = associated_prime_characters(ideal, cell)
             prime_list = [(s, character_prime_ideal(ring, s), cell) for s in chars]
         else:
-            comps = primary_decomposition(ideal, max_escalation)
+            comps = primary_decomposition(ideal)
             prime_list = [(pc.char, pc.prime, pc.cell) for pc in comps]
         rec["cells"] = sorted({tuple(_cells_names(ring, c)) for _, _, c in prime_list})
         rec["cells"] = [list(c) for c in rec["cells"]]
@@ -396,14 +396,14 @@ def run_command(cmd, name, ideal, order, verify, max_escalation):
             if rep.reason:
                 rec["certificates"]["reason"] = rep.reason
     elif cmd == "hull":
-        out = hull(ideal, max_escalation=max_escalation)
+        out = hull(ideal)
         binom = out.is_binomial()
         rec["components"] = [{"generators": _gens_text(out, order)}]
         rec["certificates"]["binomial"] = binom
         lines += ["hull = " + ", ".join(_gens_text(out, order))]
         lines += [f"binomial: {binom}"]
     elif cmd == "primary":
-        comps = primary_decomposition(ideal, max_escalation)
+        comps = primary_decomposition(ideal)
         for pc in comps:
             pc.multiplicity = _laurent_multiplicity(pc)
         rec["field"] = repr(effective_field(ring, [pc.ideal for pc in comps], [pc.prime for pc in comps]))
@@ -444,15 +444,12 @@ def run_command(cmd, name, ideal, order, verify, max_escalation):
     return rec, lines
 
 
-def run_session(session, order=DEGREVLEX, verify=False, json_mode=False,
-                max_escalation=20):
+def run_session(session, order=DEGREVLEX, verify=False, json_mode=False):
     records = []
     lines = []
     for cmd, name in session.commands:
         try:
-            rec, ls = run_command(
-                cmd, name, session.ideals[name], order, verify, max_escalation
-            )
+            rec, ls = run_command(cmd, name, session.ideals[name], order, verify)
         except BinomialsError as exc:
             raise CommandFailure(cmd, name, exc)
         records.append(rec)
@@ -481,12 +478,18 @@ def main(argv=None):
     ap.add_argument("--json", action="store_true", help="emit the JSON schema")
     ap.add_argument("--verify", action="store_true", help="re-check certificates")
     ap.add_argument("--order", choices=["lex", "degrevlex"], default="degrevlex")
-    ap.add_argument("--max-escalation", type=int, default=20, metavar="N",
-                    help="bound for exponent-doubling loops")
-    args = ap.parse_args(argv)
     try:
-        text = open(args.file).read() if args.file else sys.stdin.read()
-    except OSError as exc:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is exit 1 here; 0 after --help
+        return 1 if exc.code else 0
+    try:
+        if args.file:
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     order = LEX if args.order == "lex" else DEGREVLEX
@@ -496,13 +499,7 @@ def main(argv=None):
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
     try:
-        out = run_session(
-            session,
-            order=order,
-            verify=args.verify,
-            json_mode=args.json,
-            max_escalation=args.max_escalation,
-        )
+        out = run_session(session, order=order, verify=args.verify, json_mode=args.json)
     except BinomialsError as exc:
         print(f"math error: {exc}", file=sys.stderr)
         return 2

@@ -27,6 +27,7 @@ from .characters import (
     p_saturation,
 )
 from .ideals import (
+    MAX_ESCALATION,
     Ideal,
     cell_product,
     cellular_localize,
@@ -64,13 +65,13 @@ class CellularComponent:
 class PrimaryComponent:
     __slots__ = ("ideal", "prime", "char", "cell", "embedded", "multiplicity")
 
-    def __init__(self, ideal, prime, char, cell, embedded=False, multiplicity=None):
+    def __init__(self, ideal, prime, char, cell):
         self.ideal = ideal
         self.prime = prime
         self.char = char
         self.cell = tuple(cell)
-        self.embedded = embedded
-        self.multiplicity = multiplicity
+        self.embedded = False  # set once all candidates are known
+        self.multiplicity = None  # set by the CLI's `primary` command
 
     def __repr__(self):
         flag = "embedded" if self.embedded else "minimal"
@@ -223,7 +224,7 @@ def is_cellular(i):
     return (True, cell)
 
 
-def cellular_decomposition(i, max_escalation=20):
+def cellular_decomposition(i):
     """Cellular components with verified exact intersection.
 
     Starting exponents are the per-variable saturation exponents; all are
@@ -237,7 +238,7 @@ def cellular_decomposition(i, max_escalation=20):
         return []
     if i.is_zero():
         return [CellularComponent(i.canonical(), tuple(range(ring.nvars)), (1,) * ring.nvars)]
-    kept = _prune_redundant(_cellular_pieces(i, max_escalation), _cell_below, ring)
+    kept = _prune_redundant(_cellular_pieces(i), _cell_below, ring)
     if checks.ENABLED:
         cells = [c.cell for c in kept]
         assert len(set(cells)) == len(cells)
@@ -245,13 +246,13 @@ def cellular_decomposition(i, max_escalation=20):
     return kept
 
 
-def _cellular_pieces(i, max_escalation):
+def _cellular_pieces(i):
     """One cellular localization per proper cell (largest cells first), with
     the exponents doubled until the pieces intersect to exactly I."""
     ring = i.ring
     proper = [cell for cell, _ in cell_scan(i)]
     exps = [max(saturation_exponent(i, ring.var(v)), 1) for v in range(ring.nvars)]
-    for _ in range(max_escalation):
+    for _ in range(MAX_ESCALATION):
         comps = []
         for cell in proper:
             j = cellular_localize(i, cell, exps)
@@ -331,7 +332,7 @@ class _ColonCache:
         return got
 
 
-def primary_test(i, cell=None, colons=None):
+def primary_test(i, cell=None):
     """Decide primariness of a cellular ideal; the radical comes for free.
 
     Returns a PrimaryTestReport.  In the NO case two distinct associated
@@ -352,7 +353,7 @@ def primary_test(i, cell=None, colons=None):
             False, rad, sigma, (w1, w2), "radical is not prime"
         )
     _, maximal = standard_monomials(i, off)
-    colons = colons or _ColonCache(i)
+    colons = _ColonCache(i)
     sigma_ideal = ideal_from_character(ring, sigma)
     for m in maximal:
         if not any(m):
@@ -374,7 +375,7 @@ def primary_test(i, cell=None, colons=None):
     return PrimaryTestReport(True, rad, sigma)
 
 
-def is_primary(i, cell=None):
+def is_primary(i):
     """Primariness decision for any binomial ideal.
 
     Cellular input runs the witness test directly.  A primary ideal is necessarily
@@ -382,8 +383,6 @@ def is_primary(i, cell=None):
     input is decided NO, with two associated primes of the certified primary
     decomposition as witnesses.
     """
-    if cell is not None:
-        return primary_test(i, cell)
     cellular_ok, inferred = is_cellular(i)
     if cellular_ok:
         return primary_test(i, inferred)
@@ -393,12 +392,10 @@ def is_primary(i, cell=None):
     return PrimaryTestReport(False, rad, None, witnesses, "ideal is not cellular")
 
 
-def associated_prime_characters(i, cell=None, colons=None):
+def associated_prime_characters(i, cell, colons=None):
     """Saturated characters of all associated primes of a cellular ideal,
     one witness colon per standard monomial, duplicate-free and ordered."""
     ring = i.ring
-    if cell is None:
-        _, cell = is_cellular(i)
     cell = tuple(sorted(cell))
     off = [v for v in range(ring.nvars) if v not in set(cell)]
     stand, _ = standard_monomials(i, off)
@@ -417,17 +414,11 @@ def associated_prime_characters(i, cell=None, colons=None):
     return out
 
 
-def associated_primes(i, cell=None):
-    """The associated primes of a cellular ideal, as ideals."""
-    ring = i.ring
-    return [character_prime_ideal(ring, s) for s in associated_prime_characters(i, cell)]
-
-
 # ---------------------------------------------------------------------------
 # hull / localization at minimal primes (both colon cases)
 
 
-def localize(i, j, cell=None, max_escalation=20):
+def localize(i, j, cell):
     """I_(J): intersection of the primary components of I contained in a
     minimal prime of J (both cellular with respect to the same cell).
 
@@ -437,8 +428,6 @@ def localize(i, j, cell=None, max_escalation=20):
     (Case 2), escalating d until the quotient is certifiably binomial.
     """
     ring = i.ring
-    if cell is None:
-        _, cell = is_cellular(i)
     cell = tuple(sorted(cell))
     sigma = p_saturation(character_from_cellular(j, cell))
     _, min_sats = character_saturations(sigma)
@@ -462,12 +451,12 @@ def localize(i, j, cell=None, max_escalation=20):
         rho, p_ideal = embedded[0]
         lat = agreement_lattice(sigma, rho)
         if lat.rank == rho.lattice.rank:
-            cur = _colon_case_finite(cur, sigma, rho, cell, max_escalation)
+            cur = _colon_case_finite(cur, sigma, rho, cell)
         else:
-            cur = _colon_case_infinite(cur, rho, lat, cell, max_escalation)
+            cur = _colon_case_infinite(cur, rho, lat, cell)
 
 
-def _colon_case_finite(cur, sigma, rho, cell, max_escalation):
+def _colon_case_finite(cur, sigma, rho, cell):
     """Finite-index case: some m in both lattices has sigma(m) != rho(m)."""
     ring = cur.ring
     l0 = sigma.lattice.intersection(rho.lattice)
@@ -489,7 +478,7 @@ def _colon_case_finite(cur, sigma, rho, cell, max_escalation):
         if o > 10_000:
             raise EscalationLimit("root of unity order out of range")
     p = ring.field.char
-    for k in range(1, max_escalation + 1):
+    for k in range(1, MAX_ESCALATION + 1):
         d = o * _ladder(k)
         q = p_part(d, p)
         out = colon_quasipower_ratio(cur, b, d, q)
@@ -500,7 +489,7 @@ def _colon_case_finite(cur, sigma, rho, cell, max_escalation):
     raise EscalationLimit("finite-index colon failed to progress")
 
 
-def _colon_case_infinite(cur, rho, lat, cell, max_escalation):
+def _colon_case_infinite(cur, rho, lat, cell):
     """Infinite-index case: colon by quasi_power(b, d) for m of infinite
     order modulo the agreement lattice."""
     ring = cur.ring
@@ -513,7 +502,7 @@ def _colon_case_infinite(cur, rho, lat, cell, max_escalation):
     if m is None:
         raise BinomialsError("no infinite-order direction found")
     b = lattice_binomial(ring, cell, m, rho.value(m))
-    for k in range(1, max_escalation + 1):
+    for k in range(1, MAX_ESCALATION + 1):
         d = _ladder(k)
         bd = quasi_power(b, d)
         out = colon_poly(cur, bd)
@@ -526,7 +515,7 @@ def _colon_case_infinite(cur, rho, lat, cell, max_escalation):
     raise EscalationLimit("quasi-power colon failed to progress")
 
 
-def hull(i, cell=None, max_escalation=20):
+def hull(i):
     """Hull(I) = I_(√I): the intersection of minimal primary components.
 
     For cellular I this is the Noetherian colon loop; for general
@@ -534,19 +523,17 @@ def hull(i, cell=None, max_escalation=20):
     of its own cell and the pieces are intersected.  Binomiality of the
     non-cellular hull is checked, not assumed (an open question in general).
     """
-    if cell is not None:
-        return localize(i, i, cell=cell, max_escalation=max_escalation)
-    cellular_ok, inferred = is_cellular(i)
+    cellular_ok, cell = is_cellular(i)
     if cellular_ok:
-        return localize(i, i, cell=inferred, max_escalation=max_escalation)
-    comps = cellular_decomposition(i, max_escalation)
+        return localize(i, i, cell)
+    comps = cellular_decomposition(i)
     by_cell = {c.cell: c for c in comps}
     pieces = []
     for pcell, s, p_ideal in minimal_prime_entries(i):
         comp = by_cell.get(tuple(pcell))
         if comp is None:
             continue
-        pieces.append(localize(comp.ideal, p_ideal, comp.cell, max_escalation))
+        pieces.append(localize(comp.ideal, p_ideal, comp.cell))
     return intersect_all(pieces, i.ring)
 
 
@@ -563,14 +550,14 @@ def _frobenius_power(p_ideal, q):
     return Ideal(ring, gens)
 
 
-def _component_hull(j, cell, extra, max_escalation):
+def _component_hull(j, cell, extra):
     """Hull of ((J + extra) : (∏ cell)^∞), the piece of J at one prime."""
     ring = j.ring
     r = saturate_monomial(Ideal(ring, j.gens + extra.gens), cell_product(ring, cell))
-    return localize(r, r, cell, max_escalation)
+    return localize(r, r, cell)
 
 
-def _cellular_primary_components(comp, max_escalation=20):
+def _cellular_primary_components(comp):
     """Primary components of one cellular piece as (character, ideal) pairs.
 
     In char 0 the component at the prime of s is the hull of J + I(s); in
@@ -587,19 +574,19 @@ def _cellular_primary_components(comp, max_escalation=20):
         out = []
         for s in ass:
             k_s = ideal_from_character(ring, s)
-            out.append((s, _component_hull(j, cell, k_s, max_escalation)))
+            out.append((s, _component_hull(j, cell, k_s)))
         return out
-    for e in range(1, max_escalation + 1):
+    for e in range(1, MAX_ESCALATION + 1):
         out = []
         for s in ass:
             frob = _frobenius_power(character_prime_ideal(ring, s), p**e)
-            out.append((s, _component_hull(j, cell, frob, max_escalation)))
+            out.append((s, _component_hull(j, cell, frob)))
         if intersect_all([qq for _, qq in out], ring) == j:
             return out
     raise EscalationLimit("Frobenius exponent escalation exceeded bound")
 
 
-def primary_decomposition(i, max_escalation=20):
+def primary_decomposition(i):
     """Minimal binomial primary decomposition (cellular pass, then hulls).
 
     Redundancy is decided locally: a P-primary candidate Q is dropped iff it
@@ -611,7 +598,7 @@ def primary_decomposition(i, max_escalation=20):
     ring = i.ring
     if i.is_unit():
         return []
-    comps = _prune_redundant(_primary_candidates(i, max_escalation), _prime_below, ring)
+    comps = _prune_redundant(_primary_candidates(i), _prime_below, ring)
     total = intersect_all([pc.ideal for pc in comps], ring)
     if total != i:
         raise BinomialsError("primary decomposition failed the intersection check")
@@ -624,7 +611,7 @@ def primary_decomposition(i, max_escalation=20):
     return comps
 
 
-def _primary_candidates(i, max_escalation):
+def _primary_candidates(i):
     """Primary components of the cellular pieces, one per prime, ordered and
     flagged minimal or embedded; redundant ones are still among them."""
     ring = i.ring
@@ -632,10 +619,10 @@ def _primary_candidates(i, max_escalation):
     if cellular_ok:
         cells = [CellularComponent(i.canonical(), cell, (1,) * ring.nvars)]
     else:
-        cells = cellular_decomposition(i, max_escalation)
+        cells = cellular_decomposition(i)
     raw = []
     for comp in cells:
-        for s, q_s in _cellular_primary_components(comp, max_escalation):
+        for s, q_s in _cellular_primary_components(comp):
             raw.append(PrimaryComponent(q_s, character_prime_ideal(ring, s), s, comp.cell))
     # deduplicate primes across cells (distinct cells have disjoint
     # associated primes, but non-associated extras can recur)
@@ -660,45 +647,13 @@ def _primary_candidates(i, max_escalation):
 
 
 # ---------------------------------------------------------------------------
-# circuits, faces, unmixed parts
+# circuits
 
 
 def circuit_ideal(ring, rho):
     """C(rho): binomials of the circuits of the (saturated) lattice."""
     gens = [lattice_binomial(ring, rho.cell, c, rho.value(c)) for c in rho.lattice.circuits()]
     return Ideal(ring, gens)
-
-
-def is_face(p_ideal, cell):
-    """Z is a face of the toric prime P iff the cell ideal P_Z is proper."""
-    cell = tuple(sorted(cell))
-    return cell_character(p_ideal.gb().polys, cell, p_ideal.ring.field) is not None
-
-
-def unmixed_decomposition(i, cell=None, max_escalation=20):
-    """Unmixed pieces (char 0 only): I = ∩_m Hull(I + ((I:m) ∩ k[Z]))."""
-    ring = i.ring
-    if ring.field.char:
-        raise BinomialsError("unmixed decomposition is implemented for char 0 only")
-    if cell is None:
-        _, cell = is_cellular(i)
-    cell = tuple(sorted(cell))
-    off = [v for v in range(ring.nvars) if v not in set(cell)]
-    stand, _ = standard_monomials(i, off)
-    colons = _ColonCache(i)
-    pieces = {}
-    for m in stand:
-        im = colons.get(m)
-        km = eliminate(im, cell)
-        r = Ideal(ring, i.gens + km.gens)
-        r = saturate_monomial(r, cell_product(ring, cell)) if cell else r
-        h = localize(r, r, cell, max_escalation)
-        pieces.setdefault(h.key(), h)
-    out = sorted(pieces.values(), key=lambda x: repr(x.key()))
-    total = intersect_all(out, ring)
-    if total != i:
-        raise BinomialsError("unmixed decomposition failed the intersection check")
-    return out
 
 
 def effective_field(ring, *ideal_groups):

@@ -66,7 +66,7 @@ def _merge_sub(a, i0, b, shift, factor, keyf):
     return out
 
 
-def _reduce_prepared(f, basis_lms, basis_terms, keyf, full=True):
+def _reduce_prepared(f, basis_lms, basis_terms, keyf):
     """Normal form of a prepared term list modulo monic prepared divisors."""
     work = f
     out = []
@@ -79,8 +79,6 @@ def _reduce_prepared(f, basis_lms, basis_terms, keyf, full=True):
                 hit = t
                 break
         if hit < 0:
-            if not full:
-                return out + work
             out.append(work[0])
             work = work[1:]
             continue

@@ -1,5 +1,5 @@
 """Ideal-level constructions: elimination, colon, saturation, intersection,
-homogenization, quasi-powers, cellular localization, blowup presentations.
+homogenization, quasi-powers, cellular localization.
 
 Intersection and saturation go through one helper that appends a fresh
 auxiliary variable, which keeps each a single elimination Groebner run.
@@ -11,7 +11,6 @@ Binomiality of results is asserted where the theory guarantees it.
 
 from math import lcm
 
-from . import checks
 from .errors import (
     EscalationLimit,
     InfiniteStandardSet,
@@ -23,7 +22,6 @@ from .poly import (
     DEGREVLEX,
     MonomialOrder,
     Polynomial,
-    Ring,
     elim_order,
     mono_deg,
     mono_div,
@@ -31,6 +29,10 @@ from .poly import (
     render_poly,
 )
 from .scalars import p_part
+
+# rounds of every escalation loop (exponent ladders, doublings, Frobenius
+# powers) before it gives up with EscalationLimit
+MAX_ESCALATION = 20
 
 
 class Ideal:
@@ -72,9 +74,6 @@ class Ideal:
             return True
         return self.gb().contains(f)
 
-    def normal_form(self, f, order=DEGREVLEX):
-        return self.gb(order).normal_form(f)
-
     def __eq__(self, other):
         if not isinstance(other, Ideal):
             return NotImplemented
@@ -108,12 +107,11 @@ class Ideal:
         return f"Ideal({', '.join(render_poly(g) for g in self.gens) or '0'})"
 
 
-def is_binomial_ideal(gens, ring=None):
+def is_binomial_ideal(gens):
     if isinstance(gens, Ideal):
         return gens.is_binomial()
     gens = list(gens)
-    ring = ring or gens[0].ring
-    return groebner_basis(gens, DEGREVLEX, ring).is_binomial
+    return groebner_basis(gens, DEGREVLEX, gens[0].ring).is_binomial
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +220,14 @@ def saturate_poly(i, f):
     )
 
 
-def divide_exact(g, f, order=DEGREVLEX):
+def divide_exact(g, f):
     """Exact quotient g / f (raises if not divisible)."""
     ring = g.ring
     quot = {}
     work = g
-    lmf, lcf = f.lt(order)
+    lmf, lcf = f.lt(DEGREVLEX)
     while work.terms:
-        e, c = work.lt(order)
+        e, c = work.lt(DEGREVLEX)
         if not mono_divides(lmf, e):
             raise ValueError("inexact polynomial division")
         q = mono_div(e, lmf)
@@ -268,49 +266,32 @@ def saturate_monomial(i, m):
     return out
 
 
-def saturation_exponent(i, xv, bound=256):
+def saturation_exponent(i, xv):
     """Smallest k with (I : x_v^k) = (I : x_v^∞) for a variable x_v.
 
     This is the largest x_v-order in the revlex basis of I^h with x_v last:
     its leading monomials minimally generate the initial ideal, so no
-    smaller k clears x_v from all of them.
+    smaller k clears x_v from all of them.  Above 256 it is EscalationLimit.
     """
     e = _monomial_exponent(xv)
     if mono_deg(e) != 1:
         raise ValueError(f"{render_poly(xv)} is not a variable")
     v = e.index(1)
     k = max((_order_in(g, v) for g in revlex_basis(homogenize(i), v)), default=0)
-    if k > bound:
+    if k > 256:
         raise EscalationLimit("saturation exponent exceeded bound")
     return k
-
-
-def colon_ideal(i, j):
-    """(I : J) for a general ideal J: intersection of single colons.
-
-    Not binomial-preserving in general (even a colon by two variables can
-    fail); exposed
-    as a plain utility.
-    """
-    acc = None
-    for g in j.gens:
-        c = colon_poly(i, g)
-        acc = c if acc is None else intersect(acc, c)
-    if acc is None:
-        return Ideal(i.ring, (i.ring.one,))
-    return acc
 
 
 # ---------------------------------------------------------------------------
 # homogenization and Bayer–Stillman monomial colons
 
 
-def homogenize(i, name="x0"):
+def homogenize(i):
     """Projective-closure ideal: homogenize a degree-order Groebner basis.
     The homogenizing variable is appended last."""
     ring = i.ring
-    n = ring.nvars
-    rh = ring.extended(_fresh_name(ring, name))
+    rh = ring.extended(_fresh_name(ring, "x0"))
     gens = []
     for g in i.gb(DEGREVLEX):
         d = g.total_degree()
@@ -369,14 +350,11 @@ def _monomial_exponent(m):
 # quasi-powers (the binomial substitute for powers)
 
 
-def _two_term_parts(b, order=DEGREVLEX):
+def _two_term_parts(b):
+    """(α, β, c) for b = x^α − c·x^β up to a scalar, x^α its degrevlex lead."""
     if len(b.terms) != 2:
         raise NotTwoTerm(f"{render_poly(b)} does not have exactly two terms")
-    (ea, ca), (eb, cb) = (
-        b.terms if order == DEGREVLEX else sorted(
-            b.terms, key=lambda t: order.key_function(b.ring.nvars)(t[0]), reverse=True
-        )
-    )
+    (ea, ca), (eb, cb) = b.terms
     return ea, eb, -(cb / ca)
 
 
@@ -429,7 +407,7 @@ def _ladder(k):
     return lcm(*range(1, k + 1))
 
 
-def colon_quasipower(i, b, d=None, max_escalation=20):
+def colon_quasipower(i, b, d=None):
     """(I : quasi_power(b, d)) with the colon-square stabilization certificate.
 
     With explicit d the single colon is returned uncertified (useful for
@@ -440,7 +418,7 @@ def colon_quasipower(i, b, d=None, max_escalation=20):
     check_nonzerodivisor_lead(i, b)
     if d is not None:
         return colon_poly(i, quasi_power(b, d)), d
-    for k in range(1, max_escalation + 1):
+    for k in range(1, MAX_ESCALATION + 1):
         d = _ladder(k)
         j = colon_poly(i, quasi_power(b, d))
         if colon_poly(j, quasi_power(b, d)) != j:
@@ -509,14 +487,14 @@ def nonzerodivisor_variables(i):
 # standard monomials
 
 
-def standard_monomials(source, var_indices, order=DEGREVLEX):
+def standard_monomials(ideal, var_indices):
     """Monomials in the given variables outside in(I): (all, maximal).
 
     Requires the staircase restricted to those variables to be finite, i.e.
     a pure power of each variable must appear among the leading monomials;
     otherwise InfiniteStandardSet is raised.
     """
-    gb = source.gb(order) if isinstance(source, Ideal) else source
+    gb = ideal.gb()
     nv = gb.ring.nvars
     vs = sorted(var_indices)
     vset = set(vs)
@@ -564,84 +542,7 @@ def standard_monomials(source, var_indices, order=DEGREVLEX):
                 break
         if top:
             maximal.append(e)
-    keyf = order.key_function(nv)
+    keyf = DEGREVLEX.key_function(nv)
     out.sort(key=keyf)
     maximal.sort(key=keyf)
     return out, maximal
-
-
-# ---------------------------------------------------------------------------
-# blowup-type presentations
-
-
-def blowup_presentations(b, monomials):
-    """Binomial presentations of Sym, blowup R[zI], Rees, gr_I for I = (M)+B/B.
-
-    `monomials` are exponent tuples (or single-term polynomials) generating M
-    in the ring of `b`.  Returns a dict with keys 'sym', 'sym_quotient',
-    'blowup', 'rees', 'assoc_graded'; the first four live in S[y1..yt]
-    (rees additionally has the inverse variable), each paired with its ring.
-    """
-    ring = b.ring
-    n = ring.nvars
-    ms = []
-    for m in monomials:
-        if isinstance(m, Polynomial):
-            if len(m.terms) != 1:
-                raise ValueError("monomial ideal generators must be terms")
-            ms.append(m.terms[0][0])
-        else:
-            ms.append(tuple(m))
-    t = len(ms)
-    ynames = [_fresh_name(ring, f"y{i+1}") for i in range(t)]
-    ry = Ring(ring.field, ring.names + tuple(ynames))
-    up_y = list(range(n))
-
-    # blowup: eliminate z from B + (y_i - m_i z)
-    rz = ry.extended(_fresh_name(ry, "z"))
-    z = rz.var(rz.nvars - 1)
-    gens = [g.project(rz, up_y) for g in b.gens]
-    for i, m in enumerate(ms):
-        yi = rz.var(n + i)
-        gens.append(yi - rz.monomial(tuple(m) + (0,) * (t + 1)) * z)
-    gbw = groebner_basis(gens, elim_order([rz.nvars - 1], rz.nvars), rz)
-    down = list(range(n + t)) + [None]
-    blowup_gens = [p.project(ry, down) for p in gbw if not p.involves([rz.nvars - 1])]
-    blowup = Ideal(ry, blowup_gens)
-
-    def ydeg(p):
-        return max(sum(e[n:]) for e, _ in p.terms)
-
-    # symmetric algebra: the y-linear slice of the blowup relations, plus B
-    lin = [p for p in blowup.gb() if ydeg(p) <= 1]
-    sym = Ideal(ry, tuple(g.project(ry, up_y) for g in b.gens) + tuple(lin))
-
-    m_in_ry = [ry.monomial(tuple(m) + (0,) * t) for m in ms]
-    sym_quotient = Ideal(ry, sym.gens + tuple(m_in_ry))
-    assoc_graded = Ideal(ry, blowup.gens + tuple(m_in_ry))
-
-    # Rees algebra R[z^{-1}, zI]: eliminate z from B + (y_i - m_i z, z z' - 1)
-    rzz = rz.extended(_fresh_name(rz, "zi"))
-    zz = rzz.var(rzz.nvars - 1)
-    gens = [g.project(rzz, up_y) for g in b.gens]
-    for i, m in enumerate(ms):
-        yi = rzz.var(n + i)
-        gens.append(yi - rzz.monomial(tuple(m) + (0,) * (t + 2)) * rzz.var(n + t))
-    gens.append(rzz.var(n + t) * zz - rzz.one)
-    gbr = groebner_basis(gens, elim_order([n + t], rzz.nvars), rzz)
-    ree_ring = Ring(ring.field, ry.names + (rzz.names[-1],))
-    down_r = list(range(n + t)) + [None, n + t]
-    rees_gens = [p.project(ree_ring, down_r) for p in gbr if not p.involves([n + t])]
-    rees = Ideal(ree_ring, rees_gens)
-
-    out = {
-        "sym": sym,
-        "sym_quotient": sym_quotient,
-        "blowup": blowup,
-        "rees": rees,
-        "assoc_graded": assoc_graded,
-    }
-    if checks.ENABLED:
-        for name, ideal in out.items():
-            assert ideal.is_binomial(), f"{name} presentation is not binomial"
-    return out

@@ -154,24 +154,6 @@ class Ring:
             raise FieldMismatch(f"cannot use {c!r} over {self.field!r}")
         return self.field.scalar(c)
 
-    def poly(self, terms):
-        """Build from {exp: coeff} or [(exp, coeff)]; drops zeros."""
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
-        acc = {}
-        for exp, c in items:
-            c = self.coerce_scalar(c)
-            exp = tuple(exp)
-            prev = acc.get(exp)
-            c = c if prev is None else prev + c
-            if c:
-                acc[exp] = c
-            elif prev is not None:
-                del acc[exp]
-        return Polynomial.from_dict(self, acc)
-
     def parse(self, text):
         return _PolyParser(text, self).parse()
 

@@ -684,7 +684,7 @@ class FiniteField:
             self._dlog = table
         return self._dlog[a.coeffs]
 
-    def root_of_unity(self, n, j=1):
+    def root_of_unity(self, n):
         if n % self.p == 0:
             raise RootNotInField(f"no {n}-th roots of unity in characteristic {self.p}")
         m = self.units_order
@@ -699,7 +699,7 @@ class FiniteField:
                 f"minimal extension degree is {kk}",
                 min_extension=kk,
             )
-        return self.generator() ** ((m // n) * j)
+        return self.generator() ** (m // n)
 
     def dth_roots(self, c, d):
         """All d-th roots of c in this field (unique root for the p-part)."""
@@ -867,8 +867,8 @@ class CycloField:
             return x
         raise FieldMismatch(f"cannot coerce {x!r} into {self!r}")
 
-    def root_of_unity(self, n, j=1):
-        return zeta(n, j)
+    def root_of_unity(self, n):
+        return zeta(n)
 
     def dth_roots(self, c, d):
         if isinstance(c, int):

@@ -11,9 +11,9 @@ from f5_oracle import all_ideal_generating_sets
 from binomials.characters import (
     PartialCharacter,
     agreement_lattice,
-    binomial_prime_components,
     cell_character,
     character_from_cellular,
+    character_prime_ideal,
     character_saturations,
     ideal_from_character,
     laurent_multiplicity,
@@ -59,8 +59,10 @@ def test_ideal_from_character_needs_saturation():
     )
     assert P.contains(basis_only)
     assert not basis_only.contains(P)
-    ok, cell, back = binomial_prime_components(P)
-    assert ok and back.lattice == lat
+    # P is prime: its character on all four variables is the saturated lat
+    back = character_from_cellular(P, (0, 1, 2, 3))
+    assert back.lattice == lat and back.is_saturated()
+    assert character_prime_ideal(R, back) == P
 
 
 def test_character_roundtrip(checked):
@@ -184,22 +186,6 @@ def test_is_prime_character():
     assert not PartialCharacter((0,), Lattice(1, [[2]]), (Fraction(1),), QQ).is_saturated()
 
 
-def test_binomial_prime_components():
-    R = Ring(QQ, ["a", "b", "x1", "x2", "x3", "x4"])
-    ok, cell, rho = binomial_prime_components(Ideal(R, (R.var(0), R.var(1))))
-    assert ok and cell == (2, 3, 4, 5) and rho.rank == 0
-    R1 = Ring(QQ, ["x"])
-    ok, _, _ = binomial_prime_components(Ideal(R1, (R1.var(0) ** 2 - 1,)))
-    assert not ok
-    # a saturated lattice ideal with a nontrivial value is prime
-    R2 = Ring(QQ, ["x", "y"])
-    P = ideal_from_character(
-        R2, PartialCharacter((0, 1), Lattice(2, [[1, -2]]), (Fraction(3),), QQ)
-    )
-    ok, cell, rho = binomial_prime_components(P)
-    assert ok and rho.values == (Fraction(3),)
-
-
 def test_lattice_ideal_codimension():
     # codim I_+(rho) localized off the axes = rank(L): verified via the
     # number of reduced GB elements in the Laurent-regular situation
@@ -208,8 +194,8 @@ def test_lattice_ideal_codimension():
         (0, 1, 2), Lattice(3, [[1, -1, 0], [0, 2, -2]]), (Fraction(1), Fraction(1)), QQ
     )
     I = ideal_from_character(R, rho)
-    ok, cell, back = binomial_prime_components(I)
-    assert back is not None and back.lattice.rank == 2
+    back = character_from_cellular(I, (0, 1, 2))
+    assert back.lattice.rank == 2
     # independent sets: {z} alone is free mod I, so dim >= 1 = 3 - rank
     assert not I.contains(R.var(2) ** 2 - R.var(2))
 

@@ -136,6 +136,17 @@ def test_main_exit_codes(tmp_path):
     assert main([str(math_bad)]) == 2
     missing = tmp_path / "nope.bin"
     assert main([str(missing)]) == 1
+    # usage errors are exit 1 like parse errors (argparse itself exits 2)
+    assert main(["--order", "foo", str(good)]) == 1
+    assert main(["--max-escalation", "3", str(good)]) == 1
+    assert main(["--help"]) == 0
+
+
+def test_non_utf8_session_is_an_error(tmp_path, capsys):
+    utf16 = tmp_path / "utf16.bin"
+    utf16.write_bytes(b"\xff\xfe" + "ring QQ[x];".encode("utf-16-le"))
+    assert main([str(utf16)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("text, code, tag", [

@@ -3,26 +3,25 @@ from fractions import Fraction
 
 import pytest
 
-from binomials.characters import PartialCharacter, ideal_from_character
+from binomials.characters import PartialCharacter, character_prime_ideal, ideal_from_character
 from binomials.decompose import (
     _cell_below,
     _cellular_pieces,
     _prime_below,
     _primary_candidates,
     _prune_redundant,
-    associated_primes,
+    associated_prime_characters,
+    cell_scan,
     cellular_decomposition,
     circuit_ideal,
     hull,
     is_cellular,
-    is_face,
     is_primary,
     localize,
     minimal_primes,
     primary_decomposition,
     primary_test,
     radical,
-    unmixed_decomposition,
 )
 from binomials.errors import RootNotInField
 from binomials.ideals import (
@@ -182,8 +181,8 @@ def test_cubic_pair_primary_decomposition():
     # associated primes per cellular component: {(x-y), (x,y)}
     aps = set()
     for comp in cellular_decomposition(I):
-        for p in associated_primes(comp.ideal, comp.cell):
-            aps.add(p.key())
+        for s in associated_prime_characters(comp.ideal, comp.cell):
+            aps.add(character_prime_ideal(R, s).key())
     assert aps == {Ideal(R, (x - y,)).key(), Ideal(R, (x, y)).key()}
 
 
@@ -234,17 +233,9 @@ def test_deg7_curve_circuits_and_faces(deg7_curve):
     assert circuit_ideal(R, rho) == I
     P = ideal_from_character(R, rho)
     assert radical(I) == P  # the circuit ideal's radical is the lattice ideal
-    faces = [z for z in _subsets(4) if is_face(P, z)]
+    # the faces of P are the cells Z with P_Z proper: its proper cells
+    faces = [z for z, _ in cell_scan(P)]
     assert sorted(faces) == sorted([(), (0,), (3,), (0, 1, 2, 3)])
-
-
-def _subsets(n):
-    from itertools import combinations
-
-    out = []
-    for k in range(n + 1):
-        out.extend(combinations(range(n), k))
-    return out
 
 
 def test_circuit_ideal_totally_unimodular():
@@ -375,24 +366,6 @@ def test_thickened_line_not_primary():
         Ideal(R, (w1,)).key(),
         Ideal(R, (w1, w2 - w3)).key(),
     }
-
-
-def test_unmixed_decomposition_char0():
-    # a cellular ideal with one embedded prime: pieces (x1) and an
-    # (x1, x2-x3)-primary part
-    R = Ring(QQ, ["x1", "x2", "x3"])
-    w1, w2, w3 = (R.var(i) for i in range(3))
-    I = Ideal(R, (w1 * w1, w1 * w2 - w1 * w3))
-    pieces = unmixed_decomposition(I)
-    assert intersect_all(pieces, R) == I
-    assert all(p.is_binomial() for p in pieces)
-    assert any(p == Ideal(R, (w1,)) for p in pieces)
-    F2 = FiniteField(2)
-    R2 = Ring(F2, ["x"])
-    from binomials.errors import BinomialsError
-
-    with pytest.raises(BinomialsError):
-        unmixed_decomposition(Ideal(R2, (R2.var(0) - 1,)))
 
 
 def test_zero_and_unit_edges():
@@ -533,14 +506,14 @@ def test_localized_pruning_matches_all_others_rule():
         if ideal.is_unit() or ideal.is_zero():
             continue
         ring = ideal.ring
-        pieces = _cellular_pieces(ideal, 20)
+        pieces = _cellular_pieces(ideal)
         kept = _prune_redundant(pieces, _cell_below, ring)
         assert kept == _cells_pruned_by_all_others(pieces, ideal), ideal
         dropped["cellular"] += len(kept) < len(pieces)
         if not primary:
             continue
         try:
-            cands = _primary_candidates(ideal, 20)
+            cands = _primary_candidates(ideal)
         except RootNotInField:  # GF(5) lacks the roots of unity this ideal needs
             continue
         kept = _prune_redundant(cands, _prime_below, ring)

@@ -6,10 +6,8 @@ from binomials.decompose import _ColonCache
 from binomials.errors import InfiniteStandardSet, NonzerodivisorViolated, NotTwoTerm
 from binomials.ideals import (
     Ideal,
-    blowup_presentations,
     cellular_localize,
     check_nonzerodivisor_lead,
-    colon_ideal,
     colon_monomial,
     colon_poly,
     colon_quasipower,
@@ -112,7 +110,7 @@ def test_union_of_two_hyperbolas_and_origin():
     both = intersect(I1, I2)
     assert not both.is_binomial()
     # coloning (x1, x4) out of the union leaves the non-binomial pair
-    col = colon_ideal(expected, Ideal(R, (x1, x4)))
+    col = intersect(colon_poly(expected, x1), colon_poly(expected, x4))
     assert col == both
     assert not is_binomial_ideal(col)
 
@@ -345,24 +343,6 @@ def test_standard_monomials(rxy):
         standard_monomials(Ideal(rxy, (x * x,)), [0, 1])
 
 
-def test_blowup_presentations(checked):
-    R = Ring(QQ, ["x", "y"])
-    x, y = R.var(0), R.var(1)
-    pres = blowup_presentations(Ideal(R), [x, y])
-    bw = pres["blowup"]
-    ry = bw.ring
-    assert bw == Ideal(ry, (ry.var(0) * ry.var(3) - ry.var(1) * ry.var(2),))
-    # all five algebras have binomial presentations (checked fixture asserts)
-    for key in ("sym", "sym_quotient", "blowup", "rees", "assoc_graded"):
-        assert pres[key].is_binomial()
-    R1 = Ring(QQ, ["x"])
-    pres1 = blowup_presentations(Ideal(R1), [R1.var(0)])
-    assert pres1["blowup"].is_zero()
-    # blowup of a binomial hypersurface stays binomial
-    presB = blowup_presentations(Ideal(R, (x * x - y,)), [x, y])
-    assert presB["rees"].is_binomial()
-
-
 def test_divide_exact(rxy):
     x, y = rxy.var(0), rxy.var(1)
     f = (x - y) * (x**2 + x * y + 3)
@@ -376,7 +356,7 @@ def test_colon_by_monomial_ideal_breaks_binomiality():
     R = Ring(QQ, ["a", "b", "x1", "x2", "x3", "x4"])
     a, b, x1, x2, x3, x4 = (R.var(i) for i in range(6))
     I = Ideal(R, (a * x1 - a * x3, a * x2 - a * x4, b * x1 - b * x4, b * x2 - b * x3))
-    col = colon_ideal(I, Ideal(R, (a, b)))
+    col = intersect(colon_poly(I, a), colon_poly(I, b))
     assert not col.is_binomial()
     # the colon is the intersection of the three codimension-3 primes
     others = [
