@@ -243,18 +243,27 @@ def laurent_multiplicity(rho):
 def ideal_from_character(ring, rho):
     """The contraction of the Laurent binomial ideal of rho to the polynomial ring.
 
-    Generated by the basis binomials x^(m+) − rho(m)·x^(m−) and saturated
-    with respect to the product of the cell variables, which realizes the
-    full generating set over the whole lattice.
+    This is J : (∏ cell)^∞ for J generated by the basis binomials
+    x^(m+) − rho(m)·x^(m−), which realizes the full generating set over the
+    whole lattice.  The saturation is needed only for 2 ≤ rank < |cell|;
+    at the other ranks J already is saturated:
+
+    - Rank 0.  J is the zero ideal.
+    - Rank 1.  f = x^(m+) − c·x^(m−) has disjoint supports and c ≠ 0, so no
+      variable divides f.  k[x] is a UFD, so (f : x_i^∞) = (f) for every i.
+    - Full rank.  The HNF basis is upper triangular with positive pivots.
+      The last row gives x_n^d − c, so x_n is a unit modulo J.  Going up
+      row by row, each pivot variable's power times a monomial in later
+      (unit) variables equals c times a unit, so every cell variable is a
+      unit modulo J.  When m is a unit modulo J, J : m^∞ = J.
     """
     gens = [
         lattice_binomial(ring, rho.cell, row, val)
         for row, val in zip(rho.lattice.basis, rho.values)
     ]
-    base = Ideal(ring, gens)
-    if not gens:
-        return base
-    out = saturate_monomial(base, cell_product(ring, rho.cell))
+    out = Ideal(ring, gens)
+    if 2 <= rho.rank < len(rho.cell):
+        out = saturate_monomial(out, cell_product(ring, rho.cell))
     if checks.ENABLED:
         back = character_from_cellular(out, rho.cell)
         assert back == rho, "character round trip failed"

@@ -156,8 +156,8 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None):
         """Add a reduced polynomial h and update pairs and active set."""
         lead = prep[0]
         if lead[2] != ring.field.one:
-            inv = lead[2]
-            prep = [(k, e, c / inv) for k, e, c in prep]
+            inv = ring.field.one / lead[2]
+            prep = [(k, e, c * inv) for k, e, c in prep]
         h = len(basis)
         lm_h = prep[0][1]
         basis.append(prep)

@@ -408,14 +408,12 @@ class CycloElement:
         return self._key
 
     def _minimal(self):
-        for m in divisors(self.order):
-            rows = _embedding(m, self.order)
-            sol = _solve_fraction_system(rows, self.coeffs)
+        for m in divisors(self.order)[:-1]:
+            sol = _solve_fraction_system(_embedding(m, self.order), self.coeffs)
             if sol is not None:
-                if m == 1:
-                    return (1, (sol[0],))
                 return (m, tuple(sol))
-        raise AssertionError("unreachable")
+        # at m = N the element is its own representative
+        return (self.order, tuple(Fraction(c) for c in self.coeffs))
 
 
 def _solve_fraction_system(rows, target):
@@ -787,6 +785,8 @@ class FiniteFieldElement:
     def inverse(self):
         if not self:
             raise DivisionByZero("inverse of zero")
+        if self.field.k == 1:
+            return FiniteFieldElement(self.field, (pow(self.coeffs[0], -1, self.field.p),))
         return self ** (self.field.units_order - 1)
 
     def __truediv__(self, other):

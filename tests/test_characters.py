@@ -30,7 +30,7 @@ from binomials.ideals import (
 )
 from binomials.intlattice import Lattice
 from binomials.poly import Ring
-from binomials.scalars import QQ, FiniteField, zeta
+from binomials.scalars import QQ, CycloField, FiniteField, zeta
 
 
 def test_ideal_from_character_basics():
@@ -88,6 +88,52 @@ def test_roundtrip_randomized():
             continue
         back = character_from_cellular(I, tuple(range(n)))
         assert back == rho
+
+
+def _basis_ideal(ring, rho):
+    """The ideal of the basis binomials x^(m+) − rho(m)·x^(m−), unsaturated."""
+    gens = []
+    for row, val in zip(rho.lattice.basis, rho.values):
+        plus, minus = [0] * ring.nvars, [0] * ring.nvars
+        for v, x in zip(rho.cell, row):
+            (plus if x > 0 else minus)[v] = abs(x)
+        gens.append(ring.monomial(tuple(plus)) - ring.monomial(tuple(minus)) * val)
+    return Ideal(ring, gens)
+
+
+def test_ideal_from_character_vs_saturation(checked):
+    # reference: (basis binomials : (∏ cell)^∞) by an explicit saturation, on
+    # every rank from 0 to |cell| and cells of 1 to 3 of up to 4 variables
+    F25 = FiniteField(5, 2)
+    fields = [
+        (QQ, [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3)]),
+        (CycloField(6), [zeta(6, j) for j in range(6)] + [Fraction(2)]),
+        (FiniteField(2), FiniteField(2).elements()[1:]),
+        (FiniteField(5), FiniteField(5).elements()[1:]),
+        (F25, F25.elements()[1:]),
+    ]
+    rnd = random.Random(12)
+    grew = 0
+    for field, units in fields:
+        for size in (1, 2, 3):
+            for rank in range(size + 1):
+                for _ in range(4):
+                    n = rnd.randint(size, 4)
+                    R = Ring(field, [f"v{i}" for i in range(n)])
+                    cell = tuple(sorted(rnd.sample(range(n), size)))
+                    lat = Lattice(size)
+                    while lat.rank != rank:
+                        rows = [[rnd.randint(-3, 3) for _ in cell] for _ in range(rank)]
+                        lat = Lattice(size, rows)
+                    vals = tuple(rnd.choice(units) for _ in lat.basis)
+                    rho = PartialCharacter(cell, lat, vals, field)
+                    base = _basis_ideal(R, rho)
+                    ref = saturate_monomial(base, cell_product(R, cell))
+                    assert ideal_from_character(R, rho) == ref, rho
+                    grew += ref != base
+    # some partial-rank basis ideals are not saturated, so the kept
+    # saturation is exercised
+    assert grew
 
 
 def test_character_from_cellular_monomial_error():
