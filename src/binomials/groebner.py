@@ -17,6 +17,8 @@ workloads.
 """
 
 from heapq import heapify, heappop
+from itertools import chain, islice
+from operator import itemgetter
 
 from . import checks
 from .poly import (
@@ -31,59 +33,48 @@ from .poly import (
 
 
 def _prepare(p, keyf):
-    return [
-        (keyf(e), e, c)
-        for e, c in sorted(p.terms, key=lambda t: keyf(t[0]), reverse=True)
-    ]
+    """Terms of p as (key, exponent, coefficient), descending by key."""
+    return sorted([(keyf(e), e, c) for e, c in p.terms], key=itemgetter(0), reverse=True)
 
 
 def _merge_sub(a, i0, b, shift, factor, keyf):
     """a[i0:] minus factor * x^shift * b, both descending term lists."""
+    # a monomial order is multiplicative, so the shifted b stays sorted
+    b = [(keyf(e := mono_mul(eb, shift)), e, -(factor * cb)) for _, eb, cb in b]
     out = []
     i, j = i0, 0
-    nb = len(b)
-    while i < len(a) and j < nb:
-        kb_exp = mono_mul(b[j][1], shift)
-        kb = keyf(kb_exp)
-        ka = a[i][0]
+    while i < len(a) and j < len(b):
+        ka, kb = a[i][0], b[j][0]
         if ka > kb:
             out.append(a[i])
             i += 1
         elif kb > ka:
-            out.append((kb, kb_exp, -(factor * b[j][2])))
+            out.append(b[j])
             j += 1
         else:
-            c = a[i][2] - factor * b[j][2]
+            c = a[i][2] + b[j][2]
             if c:
                 out.append((ka, a[i][1], c))
             i += 1
             j += 1
-    out.extend(a[i:])
-    while j < nb:
-        e = mono_mul(b[j][1], shift)
-        out.append((keyf(e), e, -(factor * b[j][2])))
-        j += 1
-    return out
+    return out + a[i:] + b[j:]
 
 
 def _reduce_prepared(f, basis_lms, basis_terms, keyf):
     """Normal form of a prepared term list modulo monic prepared divisors."""
     work = f
     out = []
-    nb = len(basis_lms)
-    while work:
-        ke, e0, c0 = work[0]
-        hit = -1
-        for t in range(nb):
-            if mono_divides(basis_lms[t], e0):
-                hit = t
+    i = 0
+    while i < len(work):
+        _, e0, c0 = work[i]
+        for lm, terms in zip(basis_lms, basis_terms):
+            if mono_divides(lm, e0):
+                work = _merge_sub(work, i + 1, terms[1:], mono_div(e0, lm), c0, keyf)
+                i = 0
                 break
-        if hit < 0:
-            out.append(work[0])
-            work = work[1:]
-            continue
-        shift = mono_div(e0, basis_lms[hit])
-        work = _merge_sub(work, 1, basis_terms[hit][1:], shift, c0, keyf)
+        else:
+            out.append(work[i])
+            i += 1
     return out
 
 
@@ -165,11 +156,12 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None):
         # new pairs (g, h): drop one whose lcm is divisible by the lcm of a
         # pair still to be looked at or already kept (criteria M and F); a
         # coprime pair is kept here, to stand for its lcm, and dropped below
-        cands = [(mono_lcm(lms[g], lm_h), g) for g in active]
+        lcms = [mono_lcm(lms[g], lm_h) for g in active]
         kept = []
-        for n, (l, g) in enumerate(cands):
+        for n, (l, g) in enumerate(zip(lcms, active)):
             coprime = mono_mul(lms[g], lm_h) == l
-            if coprime or not any(mono_divides(c[0], l) for c in cands[n + 1 :] + kept):
+            others = chain(islice(lcms, n + 1, None), map(itemgetter(0), kept))
+            if coprime or not any(mono_divides(m, l) for m in others):
                 kept.append((l, g, coprime))
         # queued pairs (a, b): drop one whose lcm lm(h) divides unless
         # (a, h) or (b, h) has the same lcm (criterion B)
@@ -199,9 +191,9 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None):
         deg, i, j, l = heappop(heap)
         si = mono_div(l, lms[i])
         sj = mono_div(l, lms[j])
-        # S-polynomial of two monic polynomials: tails shifted and subtracted
-        tail_i = [(keyf(mono_mul(e, si)), mono_mul(e, si), c) for _, e, c in basis[i][1:]]
-        tail_i.sort(reverse=True, key=lambda t: t[0])
+        # S-polynomial of two monic polynomials: tails shifted (which keeps
+        # them sorted) and subtracted
+        tail_i = [(keyf(m := mono_mul(e, si)), m, c) for _, e, c in basis[i][1:]]
         spoly = _merge_sub(tail_i, 0, basis[j][1:], sj, ring.field.one, keyf)
         red = _reduce_prepared(spoly, act_lms, act_terms, keyf)
         if red:

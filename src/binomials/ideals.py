@@ -36,15 +36,17 @@ MAX_ESCALATION = 20
 
 
 class Ideal:
-    """Finitely generated ideal with cached reduced Groebner bases."""
+    """Finitely generated ideal with cached reduced Groebner bases and
+    homogenization."""
 
-    __slots__ = ("ring", "gens", "_gb", "_key")
+    __slots__ = ("ring", "gens", "_gb", "_key", "_homogenized")
 
     def __init__(self, ring, gens=()):
         self.ring = ring
         self.gens = tuple(g for g in gens if g.terms)
         self._gb = {}
         self._key = None
+        self._homogenized = None
 
     def gb(self, order=DEGREVLEX):
         got = self._gb.get(order.id())
@@ -289,17 +291,16 @@ def saturation_exponent(i, xv):
 
 def homogenize(i):
     """Projective-closure ideal: homogenize a degree-order Groebner basis.
-    The homogenizing variable is appended last."""
-    ring = i.ring
-    rh = ring.extended(_fresh_name(ring, "x0"))
-    gens = []
-    for g in i.gb(DEGREVLEX):
-        d = g.total_degree()
-        terms = {}
-        for e, c in g.terms:
-            terms[e + (d - mono_deg(e),)] = c
-        gens.append(Polynomial.from_dict(rh, terms))
-    return Ideal(rh, gens)
+    The homogenizing variable is appended last.  The result is kept on i,
+    so its Groebner bases are computed once per i."""
+    if i._homogenized is None:
+        rh = i.ring.extended(_fresh_name(i.ring, "x0"))
+        gens = []
+        for g in i.gb(DEGREVLEX):
+            d = g.total_degree()
+            gens.append(Polynomial.from_dict(rh, {e + (d - mono_deg(e),): c for e, c in g.terms}))
+        i._homogenized = Ideal(rh, gens)
+    return i._homogenized
 
 
 def dehomogenize(j, ring):

@@ -218,12 +218,13 @@ def smith_normal_form(rows):
 class Lattice:
     """Sublattice of ZZ^n, stored via its row HNF basis (canonical form)."""
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "basis", "_diagonal")
 
     def __init__(self, ambient, rows=()):
         self.ambient = ambient
         reduced = hnf(rows) if rows else []
         self.basis = tuple(tuple(r) for r in reduced)
+        self._diagonal = None
 
     @classmethod
     def full(cls, n):
@@ -294,9 +295,12 @@ class Lattice:
 
         W is unimodular and factors are the nonzero d_i, so L = span{d_i w_i}
         and Sat(L) = span{w_i : i < rank}.  Every index question reads these.
+        The form is computed once per lattice and kept as tuples.
         """
-        _, d, w = smith_normal_form([list(r) for r in self.basis])
-        return w, [d[i][i] for i in range(len(self.basis))]
+        if self._diagonal is None:
+            _, d, w = smith_normal_form([list(r) for r in self.basis])
+            self._diagonal = tuple(map(tuple, w)), tuple(d[i][i] for i in range(self.rank))
+        return self._diagonal
 
     def saturation(self):
         w, _ = self.diagonal_data()

@@ -8,29 +8,41 @@ order is active.
 
 from fractions import Fraction
 from math import lcm
+from operator import add, itemgetter, le, neg, sub
 
 from .errors import EscalationLimit, FieldMismatch, ParseError, UnknownVariable
 from .scalars import MAX_ZETA_ORDER, QQ, CycloElement, render_scalar, scalar_key, zeta
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a):
     return sum(a)
+
+
+def _gather(idx):
+    """e -> tuple(e[i] for i in idx) in one C call: a slice where idx is a
+    run (a single index is one; itemgetter would return a scalar for it)."""
+    a, n = (idx[0], len(idx)) if idx else (0, 0)
+    if idx == tuple(range(a, a + n)):
+        return itemgetter(slice(a, a + n))
+    if idx == tuple(range(a, a - n, -1)):
+        return itemgetter(slice(a, a - n if a >= n else None, -1))
+    return itemgetter(*idx)
 
 
 class MonomialOrder:
@@ -55,20 +67,16 @@ class MonomialOrder:
         return (self.kind, self.block, self.perm)
 
     def key_function(self, n):
+        """Sort key on exponent tuples in n variables (larger key, larger
+        monomial), gathered by C-level calls so a key costs one Python frame."""
         perm = self.perm if self.perm is not None else tuple(range(n))
         if self.kind == "lex":
-            return lambda e: tuple(e[p] for p in perm)
+            return _gather(perm)
         if self.kind == "degrevlex":
-            rev = tuple(reversed(perm))
-            return lambda e: (sum(e), tuple(-e[p] for p in rev))
-        head = perm[: self.block]
-        tail = perm[self.block:]
-        rev_tail = tuple(reversed(tail))
-        return lambda e: (
-            tuple(e[p] for p in head),
-            sum(e[p] for p in tail),
-            tuple(-e[p] for p in rev_tail),
-        )
+            rev = _gather(perm[::-1])
+            return lambda e: (sum(e), *map(neg, rev(e)))
+        head, rev = _gather(perm[: self.block]), _gather(perm[self.block:][::-1])
+        return lambda e: (*head(e), sum(rev(e)), *map(neg, rev(e)))
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and other.id() == self.id()
@@ -93,21 +101,10 @@ def elim_order(eliminate, n):
     return MonomialOrder("elim", block=len(eliminate), perm=eliminate + rest)
 
 
-_CANON_CACHE = {}
-
-
-def _canon_key(n):
-    f = _CANON_CACHE.get(n)
-    if f is None:
-        f = DEGREVLEX.key_function(n)
-        _CANON_CACHE[n] = f
-    return f
-
-
 class Ring:
     """Polynomial ring: an exact coefficient field and named variables."""
 
-    __slots__ = ("field", "names", "_index", "zero", "one")
+    __slots__ = ("field", "names", "_index", "zero", "one", "term_key")
 
     def __init__(self, field, names):
         names = tuple(names)
@@ -121,6 +118,7 @@ class Ring:
         self.field = field
         self.names = names
         self._index = {nm: i for i, nm in enumerate(names)}
+        self.term_key = DEGREVLEX.key_function(len(names))  # the canonical order
         self.zero = Polynomial(self, ())
         self.one = Polynomial(self, (((0,) * len(names), field.one),))
 
@@ -202,7 +200,7 @@ class Polynomial:
 
     @classmethod
     def from_dict(cls, ring, d):
-        keyf = _canon_key(ring.nvars)
+        keyf = ring.term_key
         items = sorted(d.items(), key=lambda t: keyf(t[0]), reverse=True)
         return cls(ring, tuple(items))
 

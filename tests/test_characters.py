@@ -2,6 +2,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
@@ -20,6 +21,7 @@ from binomials.characters import (
     laurent_primary_decomposition,
     relation_lattice,
 )
+from binomials import intlattice
 from binomials.errors import MonomialInIdeal, RootNotInField
 from binomials.ideals import (
     Ideal,
@@ -178,6 +180,22 @@ def test_laurent_primary_decomposition_multiplicity():
     rho0 = PartialCharacter((0,), Lattice(1, [[2]]), (Fraction(1),), QQ)
     dec0 = laurent_primary_decomposition(rho0)
     assert dec0["multiplicity"] == 1 and len(dec0["components"]) == 2
+
+
+def test_laurent_decomposition_diagonalizes_the_lattice_once():
+    # one Smith form of the basis serves p_saturations, saturation() and the
+    # multiplicity; the only other one is extend_all's diagonalized inclusion
+    F5 = FiniteField(5)
+    rho = PartialCharacter((0, 1), Lattice(2, [[10, -4]]), (F5.scalar(4),), F5)
+    with mock.patch.object(intlattice, "smith_normal_form",
+                           side_effect=intlattice.smith_normal_form) as snf:
+        dec = laurent_primary_decomposition(rho)
+    inputs = [call.args[0] for call in snf.call_args_list]
+    assert inputs.count([[10, -4]]) == 1 and len(inputs) == 2
+    assert dec["multiplicity"] == 1 and len(dec["components"]) == 2
+    w, factors = rho.lattice.diagonal_data()
+    assert isinstance(w, tuple) and all(isinstance(row, tuple) for row in w)
+    assert factors == (2,) and rho.lattice.diagonal_data() is rho.lattice.diagonal_data()
 
 
 def test_laurent_multiplicity_matches_inclusion_index():

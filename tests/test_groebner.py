@@ -5,11 +5,13 @@ from binomials.groebner import groebner_basis
 from binomials.poly import (
     DEGREVLEX,
     LEX,
+    MonomialOrder,
     Ring,
     elim_order,
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_mul,
     render_poly,
 )
 from binomials.scalars import QQ, FiniteField
@@ -252,6 +254,59 @@ def test_elim_order_blocks():
     key = order.key_function(3)
     # any monomial containing the eliminated variable beats any without
     assert key((0, 0, 1)) > key((5, 5, 0))
+
+
+def reference_key(order, n):
+    """The order's sort key written out component by component."""
+    perm = order.perm if order.perm is not None else tuple(range(n))
+    if order.kind == "lex":
+        return lambda e: tuple(e[p] for p in perm)
+    if order.kind == "degrevlex":
+        return lambda e: (sum(e), tuple(-e[p] for p in reversed(perm)))
+    head, tail = perm[: order.block], perm[order.block :]
+    return lambda e: (
+        tuple(e[p] for p in head),
+        sum(e[p] for p in tail),
+        tuple(-e[p] for p in reversed(tail)),
+    )
+
+
+def orders_in(n, rnd):
+    """lex, degrevlex and every elimination block, natural and permuted."""
+    out = [LEX, DEGREVLEX]
+    for _ in range(3):
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        out += [MonomialOrder("lex", perm=perm), MonomialOrder("degrevlex", perm=perm)]
+        out += [MonomialOrder("elim", block=k, perm=perm) for k in range(n + 1)]
+    out += [elim_order(range(k), n) for k in range(n + 1)]
+    return out
+
+
+def test_order_keys_sort_like_reference_keys():
+    rnd = random.Random(13)
+    for n in range(6):
+        # small entries, so that degrees and prefixes tie often
+        vecs = list({tuple(rnd.randint(0, 3) for _ in range(n)) for _ in range(60)})
+        for order in orders_in(n, rnd):
+            keyf, ref = order.key_function(n), reference_key(order, n)
+            assert sorted(vecs, key=keyf) == sorted(vecs, key=ref), (n, order)
+            for a, b in zip(vecs, reversed(vecs)):
+                assert (keyf(a) < keyf(b)) == (ref(a) < ref(b)), (n, order, a, b)
+                assert (keyf(a) == keyf(b)) == (a == b), (n, order, a, b)
+
+
+def test_monomial_helpers_match_reference():
+    rnd = random.Random(14)
+    for n in range(6):
+        for _ in range(200):
+            a = tuple(rnd.randint(0, 4) for _ in range(n))
+            b = tuple(rnd.randint(0, 4) for _ in range(n))
+            assert mono_mul(a, b) == tuple(x + y for x, y in zip(a, b))
+            assert mono_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+            assert mono_divides(a, b) == all(x <= y for x, y in zip(a, b))
+            ab = mono_mul(a, b)
+            assert mono_div(ab, b) == a and mono_divides(b, ab)
 
 
 def test_unit_ideal_detection():

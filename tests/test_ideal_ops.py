@@ -1,8 +1,10 @@
 import random
+from unittest import mock
 
 import pytest
 
-from binomials.decompose import _ColonCache
+from binomials import ideals
+from binomials.decompose import _ColonCache, is_cellular
 from binomials.errors import InfiniteStandardSet, NonzerodivisorViolated, NotTwoTerm
 from binomials.ideals import (
     Ideal,
@@ -134,6 +136,20 @@ def test_homogenize_nonbinomial_union():
     H = homogenize(both)
     assert not H.is_binomial()
     assert all(len({sum(e) for e, _ in g.terms}) == 1 for g in H.gens)
+
+
+def test_homogenization_is_kept_on_the_ideal():
+    # is_cellular and the saturation exponents share I^h and its revlex bases
+    R = Ring(QQ, ["x1", "x2", "x3"])
+    w1, w2, w3 = (R.var(i) for i in range(3))
+    I = Ideal(R, (w1 * w1, w1 * w2 - w1 * w3))
+    with mock.patch.object(ideals, "groebner_basis", side_effect=ideals.groebner_basis) as gb:
+        assert is_cellular(I) == (True, (1, 2))
+        runs = gb.call_count
+        assert [saturation_exponent(I, R.var(v)) for v in range(3)] == [2, 0, 0]
+    # one degrevlex basis of I, then one revlex basis of I^h per variable
+    assert runs == 4 and gb.call_count == runs
+    assert homogenize(I) is homogenize(I)
 
 
 def test_quasi_power(rxy):

@@ -4,11 +4,14 @@ The benchmark's tracer still finds every engine function it wraps:
 `perfbench/spans.py` names its targets by module and attribute path, and
 `Tracer.install()` raises KeyError or AttributeError for a target that no
 longer exists, so renaming or deleting one breaks `run.py --trace 1`.
-The CLI gives the same output under `python -O`.
+The CLI gives the same output under `python -O`, and the same bytes as
+recorded in `reference_digests.json` for every benchmark session.
 """
 
+import hashlib
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -40,28 +43,53 @@ def test_tracer_installs_and_uninstalls_on_the_engine():
 
 
 REFERENCE = SPANS.with_name("reference.py")
+# sha256 of `binomials.cli --json` stdout for each session of perfbench/reference.py
+DIGESTS = Path(__file__).with_name("reference_digests.json")
+
+
+def reference_sessions():
+    spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    return {name: text for name, (text, _) in reference.SESSIONS.items()}
+
+
+def cli_json(path, *flags):
+    return subprocess.Popen([sys.executable, *flags, "-m", "binomials.cli", "--json", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def assert_recorded_output(name, stdout):
+    digest = hashlib.sha256(stdout).hexdigest()
+    assert digest == json.loads(DIGESTS.read_text())[name], f"--json output of {name} changed"
 
 
 def test_output_does_not_depend_on_asserts(tmp_path):
-    """`python -O` strips every `assert`; no answer or exit code may change.
+    """`python -O` strips every `assert`; no answer or exit code may change,
+    and the plain output is byte-identical to the recorded one.
 
     Runs the benchmark's reference sessions except the slow showcase, the
     plain and the optimized process side by side.
     """
-    spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE)
-    reference = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(reference)
-    for name, (text, _) in reference.SESSIONS.items():
+    sessions = reference_sessions()
+    assert sorted(sessions) == sorted(json.loads(DIGESTS.read_text()))
+    for name, text in sessions.items():
         if name == "showcase_primary":
             continue
         path = tmp_path / f"{name}.txt"
         path.write_text(text)
-        procs = [
-            subprocess.Popen([sys.executable, *flags, "-m", "binomials.cli", "--json", str(path)],
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-            for flags in ((), ("-O",))
-        ]
+        procs = [cli_json(path, *flags) for flags in ((), ("-O",))]
         (plain, err), (optimized, _) = (proc.communicate() for proc in procs)
         codes = [proc.returncode for proc in procs]
         assert codes == [0, 0], (name, err)
         assert plain == optimized, name
+        assert_recorded_output(name, plain)
+
+
+def test_showcase_output_is_recorded_output(tmp_path):
+    path = tmp_path / "showcase_primary.txt"
+    path.write_text(reference_sessions()["showcase_primary"])
+    proc = cli_json(path)
+    out, err = proc.communicate()
+    assert proc.returncode == 0, err
+    assert_recorded_output("showcase_primary", out)
