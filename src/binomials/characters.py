@@ -62,33 +62,26 @@ class PartialCharacter:
         return cls(cell, Lattice(len(cell)), (), field)
 
     @classmethod
-    def from_generators(cls, cell, vectors, values, field, verify=True):
+    def from_generators(cls, cell, vectors, values, field):
         """Character defined by values on arbitrary lattice generators.
 
-        Re-expresses everything on the HNF basis; checks well-definedness via
-        the integer relations among the generators.
+        One Hermite form T·vectors = H gives everything: its nonzero rows are
+        the HNF basis, valued by the matching rows of T, and the rows of T
+        beside its zero rows span the integer relations among the generators
+        (they are `kernel(transpose(vectors))`), on which the values must
+        multiply to 1.  Independent generators have no relation to check.
         """
-        vectors = [list(v) for v in vectors]
-        if not vectors:
-            return cls.trivial(cell, field)
-        if verify:
-            rel = kernel(transpose(vectors))
-            for a in rel:
-                if _evaluate(field, a, values) != field.one:
-                    raise InconsistentCharacter(
-                        "inconsistent character values on relations"
-                    )
-        lat = Lattice(len(cell), vectors)
         h, t = hnf_with_transform(vectors)
-        # nonzero HNF rows h[i] = sum_j t[i][j] * vectors[j]
-        new_vals = []
-        basis_rows = []
-        for i, row in enumerate(h):
-            if not any(row):
-                continue
-            basis_rows.append(tuple(row))
-            new_vals.append(_evaluate(field, t[i], values))
-        assert tuple(basis_rows) == lat.basis
+        basis_rows, new_vals = [], []
+        for row, coefs in zip(h, t):
+            value = _evaluate(field, coefs, values)
+            if any(row):
+                basis_rows.append(tuple(row))
+                new_vals.append(value)
+            elif value != field.one:
+                raise InconsistentCharacter("inconsistent character values on relations")
+        lat = Lattice(len(cell))
+        lat.basis = tuple(basis_rows)  # rows of a Hermite form already
         return cls(cell, lat, new_vals, field)
 
     def value(self, m):
@@ -170,7 +163,7 @@ def extend_all(rho, sup):
             )
         root_lists.append(roots)
     return [
-        PartialCharacter.from_generators(rho.cell, sup_rows, choice, rho.field, verify=False)
+        PartialCharacter.from_generators(rho.cell, sup_rows, choice, rho.field)
         for choice in product(*root_lists)
     ]
 
@@ -302,7 +295,7 @@ def cell_character(gens, cell, field):
         vectors.append(tuple(ea[v] - eb[v] for v in cell))
         values.append(-(cb / ca))
     try:
-        return PartialCharacter.from_generators(cell, vectors, values, field, verify=True)
+        return PartialCharacter.from_generators(cell, vectors, values, field)
     except InconsistentCharacter:
         return None
 

@@ -7,7 +7,9 @@ binomials that remain (ES Thm 2.1), with no Groebner run per cell.
 Decomposition proper runs the witness/standard-monomial machinery on
 cellular pieces, colons embedded primes away through quasi-power quotients,
 and certifies every output (exact intersection, primary test) before
-returning it.
+returning it.  The witness colons (I : x^m), one per standard monomial m,
+all come from `colon_monomial`, whose tree stays on the `Ideal`: the primary
+test that certifies a hull reuses the colons its localization loop made.
 """
 
 from itertools import combinations
@@ -31,12 +33,10 @@ from .ideals import (
     Ideal,
     cell_product,
     cellular_localize,
-    colon_homogeneous,
+    colon_monomial,
     colon_poly,
     colon_quasipower_ratio,
-    dehomogenize,
     eliminate,
-    homogenize,
     intersect_all,
     quasi_power,
     saturate_monomial,
@@ -299,48 +299,16 @@ def _prune_redundant(comps, below, ring):
 # witness machinery on a cellular ideal
 
 
-class _ColonCache:
-    """(I : x^e) along the divisibility tree of standard monomials.
-
-    The tree lives on the homogenization I^h: node e is (I^h : x^e), made
-    from the node with e's first nonzero exponent cleared by one revlex
-    basis (`colon_homogeneous`), so every power of that variable below the
-    same node shares one Groebner run.  Only handed-out ideals are
-    dehomogenized.
-    """
-
-    def __init__(self, ideal):
-        zero = (0,) * ideal.ring.nvars
-        self.ring = ideal.ring
-        self.tree = {zero: homogenize(ideal)}
-        self.cache = {zero: ideal}
-
-    def _node(self, exp):
-        got = self.tree.get(exp)
-        if got is None:
-            v = next(i for i, x in enumerate(exp) if x)
-            got = colon_homogeneous(self._node(exp[:v] + (0,) + exp[v + 1:]), v, exp[v])
-            self.tree[exp] = got
-        return got
-
-    def get(self, exp):
-        exp = tuple(exp)
-        got = self.cache.get(exp)
-        if got is None:
-            got = dehomogenize(self._node(exp), self.ring)
-            self.cache[exp] = got
-        return got
-
-
 def primary_test(i, cell=None):
     """Decide primariness of a cellular ideal; the radical comes for free.
 
     Returns a PrimaryTestReport.  In the NO case two distinct associated
-    primes are reported as witnesses.
+    primes are reported as witnesses.  Without a cell this is `is_primary`,
+    which decides non-cellular input too.
     """
-    ring = i.ring
     if cell is None:
-        _, cell = is_cellular(i)
+        return is_primary(i)
+    ring = i.ring
     cell = tuple(sorted(cell))
     off = [v for v in range(ring.nvars) if v not in set(cell)]
     sigma = p_saturation(character_from_cellular(i, cell))
@@ -353,12 +321,11 @@ def primary_test(i, cell=None):
             False, rad, sigma, (w1, w2), "radical is not prime"
         )
     _, maximal = standard_monomials(i, off)
-    colons = _ColonCache(i)
     sigma_ideal = ideal_from_character(ring, sigma)
     for m in maximal:
         if not any(m):
             continue
-        im = colons.get(m)
+        im = colon_monomial(i, ring.monomial(m))
         em = eliminate(im, cell)
         if all(sigma_ideal.contains(g) for g in em.gens):
             continue
@@ -392,18 +359,17 @@ def is_primary(i):
     return PrimaryTestReport(False, rad, None, witnesses, "ideal is not cellular")
 
 
-def associated_prime_characters(i, cell, colons=None):
+def associated_prime_characters(i, cell):
     """Saturated characters of all associated primes of a cellular ideal,
-    one witness colon per standard monomial, duplicate-free and ordered."""
+    one witness colon per standard monomial, duplicate-free and ordered.
+    The colons stay in i's colon tree for a later `primary_test` of i."""
     ring = i.ring
     cell = tuple(sorted(cell))
     off = [v for v in range(ring.nvars) if v not in set(cell)]
     stand, _ = standard_monomials(i, off)
-    colons = colons or _ColonCache(i)
     taus = {}
     for m in stand:
-        im = colons.get(m)
-        tau = character_from_cellular(im, cell)
+        tau = character_from_cellular(colon_monomial(i, ring.monomial(m)), cell)
         taus.setdefault(tau.key(), tau)
     primes = {}
     for tau in taus.values():
@@ -567,8 +533,7 @@ def _cellular_primary_components(comp):
     j = comp.ideal
     ring = j.ring
     cell = comp.cell
-    colons = _ColonCache(j)
-    ass = associated_prime_characters(j, cell, colons)
+    ass = associated_prime_characters(j, cell)
     p = ring.field.char
     if p == 0:
         out = []

@@ -14,15 +14,7 @@ class FieldMismatch(BinomialsError):
 
 
 class RootNotInField(BinomialsError):
-    """A requested root of unity / d-th root does not exist in GF(p^k).
-
-    For roots of unity the attribute ``min_extension`` carries the smallest
-    extension degree k' such that the root exists in GF(p^k').
-    """
-
-    def __init__(self, message, min_extension=None):
-        super().__init__(message)
-        self.min_extension = min_extension
+    """A required d-th root does not exist in the coefficient field GF(p^k)."""
 
 
 class RootNotCyclotomic(BinomialsError):

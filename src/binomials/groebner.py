@@ -83,13 +83,14 @@ class GroebnerBasis:
 
     __slots__ = ("ring", "order", "polys", "_keyf", "_lms", "_prepped")
 
-    def __init__(self, ring, order, polys):
+    def __init__(self, ring, order, keyf, prepped):
+        """From the prepared term lists of a run under the key function keyf."""
         self.ring = ring
         self.order = order
-        self.polys = tuple(polys)
-        self._keyf = order.key_function(ring.nvars)
-        self._prepped = [_prepare(p, self._keyf) for p in self.polys]
-        self._lms = [t[0][1] for t in self._prepped]
+        self.polys = tuple(Polynomial.from_dict(ring, {e: c for _, e, c in t}) for t in prepped)
+        self._keyf = keyf
+        self._prepped = prepped
+        self._lms = [t[0][1] for t in prepped]
 
     @property
     def is_binomial(self):
@@ -131,9 +132,9 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None):
         if not gens:
             raise ValueError("need a ring for the zero ideal")
         ring = gens[0].ring
-    if not gens:
-        return GroebnerBasis(ring, order, ())
     keyf = order.key_function(ring.nvars)
+    if not gens:
+        return GroebnerBasis(ring, order, keyf, [])
     binomial_input = all(len(g.terms) <= 2 for g in gens)
 
     basis = []       # prepared term lists, monic, by index
@@ -179,8 +180,8 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None):
         act_lms[:] = [lms[g] for g in active]
         act_terms[:] = [basis[g] for g in active]
 
-    for g in sorted(gens, key=lambda p: keyf(p.lm(order))):
-        red = _reduce_prepared(_prepare(g, keyf), act_lms, act_terms, keyf)
+    for prep in sorted((_prepare(g, keyf) for g in gens), key=lambda t: t[0][0]):
+        red = _reduce_prepared(prep, act_lms, act_terms, keyf)
         if red:
             push_poly(red)
             if not any(red[0][1]):
@@ -214,8 +215,7 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None):
         other_terms = min_polys[:t] + min_polys[t + 1 :]
         min_polys[t] = _reduce_prepared(min_polys[t], other_lms, other_terms, keyf)
 
-    out = [Polynomial.from_dict(ring, {e: c for _, e, c in prep}) for prep in min_polys]
-    gb = GroebnerBasis(ring, order, out)
+    gb = GroebnerBasis(ring, order, keyf, min_polys)
 
     if binomial_input:
         assert gb.is_binomial, "reduced GB of a binomial ideal must be binomial"
@@ -225,11 +225,10 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None):
 
 
 def _verify_buchberger(gb):
-    polys = gb.polys
+    polys, lms = gb.polys, gb._lms
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
-            li = polys[i].lm(gb.order)
-            lj = polys[j].lm(gb.order)
+            li, lj = lms[i], lms[j]
             l = mono_lcm(li, lj)
             s = polys[i].mul_term(mono_div(l, li), gb.ring.field.one) - polys[
                 j

@@ -5,7 +5,10 @@ Intersection and saturation go through one helper that appends a fresh
 auxiliary variable, which keeps each a single elimination Groebner run.
 Monomial colons use none: by Bayer–Stillman, (J : x_v^k) for homogeneous J
 is read off the degrevlex basis with x_v compared last, so they run on the
-homogenization of the ideal, where a binomial stays a binomial.
+homogenization of the ideal, where a binomial stays a binomial.  An `Ideal`
+keeps its homogenization I^h and the tree of colons (I^h : x^e) built on it,
+so `colon_monomial`, the one entry point for (I : x^e), computes each node
+once per object.
 Binomiality of results is asserted where the theory guarantees it.
 """
 
@@ -36,10 +39,10 @@ MAX_ESCALATION = 20
 
 
 class Ideal:
-    """Finitely generated ideal with cached reduced Groebner bases and
-    homogenization."""
+    """Finitely generated ideal with cached reduced Groebner bases,
+    homogenization and monomial colon tree."""
 
-    __slots__ = ("ring", "gens", "_gb", "_key", "_homogenized")
+    __slots__ = ("ring", "gens", "_gb", "_key", "_homogenized", "_colons")
 
     def __init__(self, ring, gens=()):
         self.ring = ring
@@ -47,6 +50,7 @@ class Ideal:
         self._gb = {}
         self._key = None
         self._homogenized = None
+        self._colons = None
 
     def gb(self, order=DEGREVLEX):
         got = self._gb.get(order.id())
@@ -250,15 +254,13 @@ def colon_poly(i, f):
 
 
 def colon_monomial(i, m):
-    """(I : m) for a monomial m: Bayer–Stillman colons on the homogenization
-    I^h, one variable of m at a time, then h = 1.  Exact because I^h is
-    h-saturated and so is each colon of it by a monomial in the old variables.
-    """
-    j = homogenize(i)
-    for v, k in enumerate(_monomial_exponent(m)):
-        if k:
-            j = colon_homogeneous(j, v, k)
-    return dehomogenize(j, i.ring)
+    """(I : m) for a monomial m = x^e: node e of the colon tree of I, with
+    h = 1.  Exact because I^h is h-saturated and so is each colon of it by a
+    monomial in the old variables."""
+    e = _monomial_exponent(m)
+    if not any(e):
+        return i
+    return dehomogenize(_colon_node(i, e), i.ring)
 
 
 def saturate_monomial(i, m):
@@ -332,6 +334,20 @@ def colon_homogeneous(j, v, k):
             g = Polynomial(j.ring, terms)
         gens.append(g)
     return Ideal(j.ring, gens)
+
+
+def _colon_node(i, e):
+    """(I^h : x^e), kept on i: made from the node with e's first nonzero
+    exponent cleared by one revlex basis (`colon_homogeneous`), so every power
+    of that variable below the same node shares one Groebner run."""
+    tree = i._colons
+    if tree is None:
+        tree = i._colons = {(0,) * len(e): homogenize(i)}
+    got = tree.get(e)
+    if got is None:
+        v = next(u for u, x in enumerate(e) if x)
+        got = tree[e] = colon_homogeneous(_colon_node(i, e[:v] + (0,) + e[v + 1:]), v, e[v])
+    return got
 
 
 def _zerodivisor(h, v):

@@ -682,23 +682,6 @@ class FiniteField:
             self._dlog = table
         return self._dlog[a.coeffs]
 
-    def root_of_unity(self, n):
-        if n % self.p == 0:
-            raise RootNotInField(f"no {n}-th roots of unity in characteristic {self.p}")
-        m = self.units_order
-        if m % n != 0:
-            kk = 1
-            acc = self.p % n
-            while acc != 1:
-                acc = (acc * self.p) % n
-                kk += 1
-            raise RootNotInField(
-                f"GF({self.p}^{self.k}) has no element of order {n}; "
-                f"minimal extension degree is {kk}",
-                min_extension=kk,
-            )
-        return self.generator() ** (m // n)
-
     def dth_roots(self, c, d):
         """All d-th roots of c in this field (unique root for the p-part)."""
         if not c:
@@ -866,9 +849,6 @@ class CycloField:
         if isinstance(x, (Fraction, CycloElement)):
             return x
         raise FieldMismatch(f"cannot coerce {x!r} into {self!r}")
-
-    def root_of_unity(self, n):
-        return zeta(n)
 
     def dth_roots(self, c, d):
         if isinstance(c, int):

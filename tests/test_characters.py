@@ -22,7 +22,7 @@ from binomials.characters import (
     relation_lattice,
 )
 from binomials import intlattice
-from binomials.errors import MonomialInIdeal, RootNotInField
+from binomials.errors import InconsistentCharacter, MonomialInIdeal, RootNotInField
 from binomials.ideals import (
     Ideal,
     cell_product,
@@ -144,6 +144,13 @@ def test_character_from_cellular_monomial_error():
         character_from_cellular(Ideal(R, (R.var(0),)), (0, 1))
 
 
+def _product_of_powers(field, exponents, values):
+    acc = field.one
+    for a, v in zip(exponents, values):
+        acc = acc * v**a
+    return acc
+
+
 def test_character_well_definedness_check():
     with pytest.raises(ValueError):
         PartialCharacter.from_generators(
@@ -152,6 +159,39 @@ def test_character_well_definedness_check():
             [Fraction(1), Fraction(-1)],  # (2,-2) = 2*(1,-1) but -1 != 1^2
             QQ,
         )
+    # differential against the relations kernel(transpose(vectors)):
+    # dependent generators valued through a base, consistently or with one
+    # value moved off by a non-root of unity
+    rng = random.Random(14)
+    F7 = FiniteField(7)
+    pools = [(QQ, [Fraction(2), Fraction(-1, 3), Fraction(5), Fraction(-1)]),
+             (F7, [F7.scalar(c) for c in range(1, 7)])]
+    seen = set()
+    for _ in range(300):
+        field, pool = rng.choice(pools)
+        n = rng.randint(1, 3)
+        base = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        base_values = [rng.choice(pool) for _ in base]
+        vectors, values = [], []
+        for _ in range(rng.randint(1, 4)):
+            coefs = [rng.randint(-2, 2) for _ in base]
+            vectors.append([sum(a * b[i] for a, b in zip(coefs, base)) for i in range(n)])
+            values.append(_product_of_powers(field, coefs, base_values))
+        if rng.random() < 0.5:
+            j = rng.randrange(len(values))
+            values[j] = values[j] * pool[0] if field is QQ else values[j] * F7.scalar(3)
+        relations = intlattice.kernel(intlattice.transpose(vectors))
+        consistent = all(_product_of_powers(field, a, values) == field.one for a in relations)
+        cell = tuple(range(n))
+        if consistent:
+            rho = PartialCharacter.from_generators(cell, vectors, values, field)
+            assert rho.lattice == Lattice(n, vectors), (vectors, values)
+            assert all(rho.value(v) == c for v, c in zip(vectors, values)), (vectors, values)
+        else:
+            with pytest.raises(InconsistentCharacter):
+                PartialCharacter.from_generators(cell, vectors, values, field)
+        seen.add((consistent, bool(relations)))
+    assert seen == {(True, True), (True, False), (False, True)}
 
 
 def test_character_saturations_char0():

@@ -368,6 +368,21 @@ def test_thickened_line_not_primary():
     }
 
 
+def test_primary_test_without_cell_decides_non_cellular_input():
+    # with no cell given, primary_test must not take the inferred cell of a
+    # non-cellular ideal as if it were cellular: it answers like is_primary
+    R1 = Ring(QQ, ["x"])
+    x = R1.var(0)
+    R2 = Ring(QQ, ["x", "y"])
+    u, v = R2.var(0), R2.var(1)
+    for I in (Ideal(R1, (x * x - x,)), Ideal(R2, (u * u - u * v, u * v - v * v))):
+        assert not is_cellular(I)[0]
+        rep, ref = primary_test(I), is_primary(I)
+        assert not rep.primary and not ref.primary
+        assert rep.radical == ref.radical == radical(I)
+        assert {w.key() for w in rep.witnesses} == {w.key() for w in ref.witnesses}
+
+
 def test_zero_and_unit_edges():
     R = Ring(QQ, ["x", "y"])
     zero = Ideal(R)

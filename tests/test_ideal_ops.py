@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 
 from binomials import ideals
-from binomials.decompose import _ColonCache, is_cellular
+from binomials.decompose import associated_prime_characters, is_cellular, primary_test
 from binomials.errors import InfiniteStandardSet, NonzerodivisorViolated, NotTwoTerm
 from binomials.ideals import (
     Ideal,
@@ -321,28 +321,47 @@ def test_monomial_colons_vs_intersection_route(checked):
     assert inhomogeneous > 100
 
 
-def test_colon_tree_on_curve_pieces_vs_intersection_route(checked):
-    # the witness colons of criterion 3's curve: walk the standard-monomial
-    # tree of its (a)- and (d)-cellular pieces, old route one variable a step
+def _curve_pieces():
+    """The (a)- and (d)-cellular pieces of criterion 3's curve, with the
+    variables off their cells."""
     R = Ring(QQ, ["a", "b", "c", "d"])
     a, b, c, d = (R.var(i) for i in range(4))
-    pieces = [
+    return [
         (Ideal(R, (b**2 * c**2 - a**2 * d**2, b**5 - a**3 * c**2,
                    b**2 * d**2, c**4, c**2 * d**2, d**4)), (1, 2, 3)),
         (Ideal(R, (b**2 * c**2 - a**2 * d**2, c**5 - b**2 * d**3,
                    a**2 * c**2, b**4, a**2 * b**2, a**4)), (0, 1, 2)),
     ]
-    for I, off in pieces:
+
+
+def test_colon_tree_on_curve_pieces_vs_intersection_route(checked):
+    # the witness colons of criterion 3's curve: walk the standard-monomial
+    # tree of its (a)- and (d)-cellular pieces, old route one variable a step
+    for I, off in _curve_pieces():
+        R = I.ring
         stand, _ = standard_monomials(I, off)
         assert len(stand) > 20
-        tree = _ColonCache(I)
         old = {(0,) * 4: I}
         for m in stand:  # sorted by degree, so each parent comes first
             v = next(i for i, x in enumerate(m) if x) if any(m) else None
             if v is not None:
                 parent = tuple(x - (i == v) for i, x in enumerate(m))
                 old[m] = _colon_by_intersection(old[parent], R.var(v))
-            assert tree.get(m).key() == old[m].key(), m
+            assert colon_monomial(I, R.monomial(m)).key() == old[m].key(), m
+
+
+def test_primary_test_reuses_the_colon_tree_of_its_ideal():
+    # the witness colons of associated_prime_characters stay on the Ideal, so
+    # the primary test of the same object runs no Groebner basis on I^h's ring
+    for I, off in _curve_pieces():
+        cell = tuple(v for v in range(I.ring.nvars) if v not in off)
+        with mock.patch.object(ideals, "groebner_basis", side_effect=ideals.groebner_basis) as gb:
+            associated_prime_characters(I, cell)
+            first = gb.call_count
+            primary_test(I, cell)
+        rh = homogenize(I).ring
+        on_rh = [k for k, call in enumerate(gb.call_args_list) if call.args[2] == rh]
+        assert on_rh and max(on_rh) < first, (len(on_rh), first)
 
 
 def test_standard_monomials(rxy):

@@ -10,7 +10,6 @@ from binomials.errors import (
     FieldMismatch,
     ParseError,
     RootNotCyclotomic,
-    RootNotInField,
 )
 from binomials import scalars
 from binomials.poly import Ring, parse_scalar
@@ -66,8 +65,8 @@ def test_cyclotomic_polynomials():
 
 
 def test_root_of_unity_orders():
-    assert QQ.root_of_unity(2) == Fraction(-1)
-    z6 = QQ.root_of_unity(6)
+    assert zeta(2) == Fraction(-1)
+    z6 = zeta(6)
     assert z6 * z6 - z6 + 1 == 0  # the minimal polynomial of a 6th root
     for n in (3, 4, 5, 6, 8, 12):
         z = zeta(n)
@@ -76,13 +75,14 @@ def test_root_of_unity_orders():
 
 
 def test_root_of_unity_char_p():
+    # GF(5)* has order 4, prime to 3, so 1 is the only cube root of unity;
+    # GF(25)* has order 24, so all three cube roots of unity lie in GF(25)
     F5 = FiniteField(5)
-    with pytest.raises(RootNotInField) as err:
-        F5.root_of_unity(3)
-    assert err.value.min_extension == 2  # order of 5 mod 3
+    assert F5.dth_roots(F5.one, 3) == [F5.one]
     F25 = FiniteField(5, 2)
-    w = F25.root_of_unity(3)
-    assert w**3 == F25.one and w != F25.one
+    roots = F25.dth_roots(F25.one, 3)
+    assert len(set(roots)) == 3
+    assert all(w**3 == F25.one for w in roots) and F25.one in roots
 
 
 def test_dth_root_rational():

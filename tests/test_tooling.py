@@ -5,7 +5,9 @@ The benchmark's tracer still finds every engine function it wraps:
 `Tracer.install()` raises KeyError or AttributeError for a target that no
 longer exists, so renaming or deleting one breaks `run.py --trace 1`.
 The CLI gives the same output under `python -O`, and the same bytes as
-recorded in `reference_digests.json` for every benchmark session.
+recorded in `reference_digests.json` (`--json`) and
+`reference_text_digests.json` (the plain-text report) for every benchmark
+session.
 """
 
 import hashlib
@@ -45,6 +47,8 @@ def test_tracer_installs_and_uninstalls_on_the_engine():
 REFERENCE = SPANS.with_name("reference.py")
 # sha256 of `binomials.cli --json` stdout for each session of perfbench/reference.py
 DIGESTS = Path(__file__).with_name("reference_digests.json")
+# the same for the plain-text report, `binomials.cli` without `--json`
+TEXT_DIGESTS = Path(__file__).with_name("reference_text_digests.json")
 
 
 def reference_sessions():
@@ -54,42 +58,47 @@ def reference_sessions():
     return {name: text for name, (text, _) in reference.SESSIONS.items()}
 
 
-def cli_json(path, *flags):
-    return subprocess.Popen([sys.executable, *flags, "-m", "binomials.cli", "--json", str(path)],
+def cli(path, *flags, mode=("--json",)):
+    return subprocess.Popen([sys.executable, *flags, "-m", "binomials.cli", *mode, str(path)],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
-def assert_recorded_output(name, stdout):
+def assert_recorded_output(name, stdout, digests=DIGESTS):
     digest = hashlib.sha256(stdout).hexdigest()
-    assert digest == json.loads(DIGESTS.read_text())[name], f"--json output of {name} changed"
+    assert digest == json.loads(digests.read_text())[name], f"{digests.name}: output of {name} changed"
 
 
 def test_output_does_not_depend_on_asserts(tmp_path):
     """`python -O` strips every `assert`; no answer or exit code may change,
-    and the plain output is byte-identical to the recorded one.
+    and the `--json` and plain-text outputs are byte-identical to the
+    recorded ones.
 
     Runs the benchmark's reference sessions except the slow showcase, the
-    plain and the optimized process side by side.
+    plain and the optimized `--json` process and the plain-text report side
+    by side.
     """
     sessions = reference_sessions()
     assert sorted(sessions) == sorted(json.loads(DIGESTS.read_text()))
+    assert sorted(sessions) == sorted(json.loads(TEXT_DIGESTS.read_text()))
     for name, text in sessions.items():
         if name == "showcase_primary":
             continue
         path = tmp_path / f"{name}.txt"
         path.write_text(text)
-        procs = [cli_json(path, *flags) for flags in ((), ("-O",))]
-        (plain, err), (optimized, _) = (proc.communicate() for proc in procs)
+        procs = [cli(path), cli(path, "-O"), cli(path, mode=())]
+        (plain, err), (optimized, _), (report, _) = (proc.communicate() for proc in procs)
         codes = [proc.returncode for proc in procs]
-        assert codes == [0, 0], (name, err)
+        assert codes == [0, 0, 0], (name, err)
         assert plain == optimized, name
         assert_recorded_output(name, plain)
+        assert_recorded_output(name, report, TEXT_DIGESTS)
 
 
 def test_showcase_output_is_recorded_output(tmp_path):
     path = tmp_path / "showcase_primary.txt"
     path.write_text(reference_sessions()["showcase_primary"])
-    proc = cli_json(path)
-    out, err = proc.communicate()
-    assert proc.returncode == 0, err
+    procs = [cli(path), cli(path, mode=())]
+    (out, err), (report, _) = (proc.communicate() for proc in procs)
+    assert [proc.returncode for proc in procs] == [0, 0], err
     assert_recorded_output("showcase_primary", out)
+    assert_recorded_output("showcase_primary", report, TEXT_DIGESTS)
