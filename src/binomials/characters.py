@@ -17,7 +17,7 @@ from .errors import (
     NotBinomial,
     RootNotInField,
 )
-from .ideals import Ideal, cell_product, eliminate, saturate_monomial
+from .ideals import Ideal, colon_monomial, eliminate, saturation_order
 from .intlattice import Lattice, hnf_with_transform, kernel, transpose
 from .poly import render_poly
 from .scalars import factorint, p_part, scalar_key, unit_decompose
@@ -238,25 +238,40 @@ def ideal_from_character(ring, rho):
 
     This is J : (∏ cell)^∞ for J generated by the basis binomials
     x^(m+) − rho(m)·x^(m−), which realizes the full generating set over the
-    whole lattice.  The saturation is needed only for 2 ≤ rank < |cell|;
-    at the other ranks J already is saturated:
+    whole lattice.  Below rank 2 J already is saturated:
 
     - Rank 0.  J is the zero ideal.
     - Rank 1.  f = x^(m+) − c·x^(m−) has disjoint supports and c ≠ 0, so no
       variable divides f.  k[x] is a UFD, so (f : x_i^∞) = (f) for every i.
-    - Full rank.  The HNF basis is upper triangular with positive pivots.
-      The last row gives x_n^d − c, so x_n is a unit modulo J.  Going up
-      row by row, each pivot variable's power times a monomial in later
-      (unit) variables equals c times a unit, so every cell variable is a
-      unit modulo J.  When m is a unit modulo J, J : m^∞ = J.
+
+    From rank 2 on, only the free variables need saturating.  The HNF basis
+    is row echelon with positive pivots; call a cell variable free if no
+    row has its pivot in that variable's column.  Then
+    J : (∏ cell)^∞ = J : (∏ free)^∞.
+
+    Proof.  Let J' = J : (∏ free)^∞; every free variable is a
+    nonzerodivisor modulo J'.  Go up the rows from the last one.  Row i is
+    x_{p_i}^d·m₁ − c·m₂ with m₁, m₂ monomials in variables after p_i, and
+    those are free or pivots of later rows, so nonzerodivisors modulo J' by
+    induction.  So x_{p_i}·f ∈ J' gives c·m₂·f ∈ J', hence f ∈ J'.  With
+    every cell variable a nonzerodivisor, J' is saturated by the cell, and
+    J ⊆ J' ⊆ J : (∏ cell)^∞ gives equality.
+
+    Full rank is the case with no free variable, where J itself is
+    saturated.  Each free x_v is saturated on the colon tree with no
+    auxiliary variable: (J : x_v^∞) = (J : x_v^k) for k its largest order
+    in the revlex basis of J^h with x_v last (Bayer–Stillman).
     """
     gens = [
         lattice_binomial(ring, rho.cell, row, val)
         for row, val in zip(rho.lattice.basis, rho.values)
     ]
     out = Ideal(ring, gens)
-    if 2 <= rho.rank < len(rho.cell):
-        out = saturate_monomial(out, cell_product(ring, rho.cell))
+    if rho.rank >= 2:
+        pivots = {next(j for j, x in enumerate(row) if x) for row in rho.lattice.basis}
+        for j, v in enumerate(rho.cell):
+            if j not in pivots:
+                out = colon_monomial(out, ring.var(v) ** saturation_order(out, v))
     if checks.ENABLED:
         back = character_from_cellular(out, rho.cell)
         assert back == rho, "character round trip failed"

@@ -1,14 +1,18 @@
 """Ideal-level constructions: elimination, colon, saturation, intersection,
 homogenization, quasi-powers, cellular localization.
 
-Intersection and saturation go through one helper that appends a fresh
+Intersection and `saturate_poly` go through one helper that appends a fresh
 auxiliary variable, which keeps each a single elimination Groebner run.
 Monomial colons use none: by Bayer–Stillman, (J : x_v^k) for homogeneous J
 is read off the degrevlex basis with x_v compared last, so they run on the
 homogenization of the ideal, where a binomial stays a binomial.  An `Ideal`
 keeps its homogenization I^h and the tree of colons (I^h : x^e) built on it,
 so `colon_monomial`, the one entry point for (I : x^e), computes each node
-once per object.
+once per object.  The same basis gives `saturation_order`, the k with
+(I : x_v^k) = (I : x_v^∞), so a saturation at one variable is one colon;
+lattice ideals are saturated that way, at their free variables.  The
+auxiliary variable stays for `saturate_monomial` by a product of variables
+(cellular localization, hulls, quasi-power ratios), where it is faster.
 Binomiality of results is asserted where the theory guarantees it.
 """
 
@@ -280,11 +284,16 @@ def saturation_exponent(i, xv):
     e = _monomial_exponent(xv)
     if mono_deg(e) != 1:
         raise ValueError(f"{render_poly(xv)} is not a variable")
-    v = e.index(1)
-    k = max((_order_in(g, v) for g in revlex_basis(homogenize(i), v)), default=0)
+    k = saturation_order(i, e.index(1))
     if k > 256:
         raise EscalationLimit("saturation exponent exceeded bound")
     return k
+
+
+def saturation_order(i, v):
+    """The largest x_v-order in the revlex basis of I^h with x_v last, with
+    no bound: (I : x_v^k) = (I : x_v^∞) for this k."""
+    return max((_order_in(g, v) for g in revlex_basis(homogenize(i), v)), default=0)
 
 
 # ---------------------------------------------------------------------------

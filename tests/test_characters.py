@@ -21,12 +21,13 @@ from binomials.characters import (
     laurent_primary_decomposition,
     relation_lattice,
 )
-from binomials import intlattice
+from binomials import ideals, intlattice
 from binomials.errors import InconsistentCharacter, MonomialInIdeal, RootNotInField
 from binomials.ideals import (
     Ideal,
     cell_product,
     intersect_all,
+    nonzerodivisor_variables,
     restrict_to_subring,
     saturate_monomial,
 )
@@ -135,6 +136,77 @@ def test_ideal_from_character_vs_saturation(checked):
                     grew += ref != base
     # some partial-rank basis ideals are not saturated, so the kept
     # saturation is exercised
+    assert grew
+
+
+def _partial_rank_characters(rnd, field, units, count, sizes, bound):
+    """`count` seeded characters with 2 ≤ rank < |cell| on cells of the
+    given sizes, in rings of up to one variable more than the cell."""
+    for _ in range(count):
+        size = rnd.choice(sizes)
+        rank = rnd.randint(2, size - 1)
+        R = Ring(field, [f"v{i}" for i in range(rnd.randint(size, size + 1))])
+        cell = tuple(sorted(rnd.sample(range(R.nvars), size)))
+        lat = Lattice(size)
+        while lat.rank != rank:
+            lat = Lattice(size, [[rnd.randint(-bound, bound) for _ in cell] for _ in range(rank)])
+        yield R, PartialCharacter(cell, lat, tuple(rnd.choice(units) for _ in lat.basis), field)
+
+
+def test_partial_rank_saturation_at_free_variables(checked, monkeypatch):
+    # J : (∏ cell)^∞ for 2 ≤ rank < |cell| is J : (∏ free)^∞, taken on the
+    # colon tree: the same ideal as the auxiliary-variable saturation by the
+    # whole cell, with every cell variable a nonzerodivisor, and no
+    # auxiliary-variable saturation is run for it
+    reference = ideals.saturate_poly
+    calls = []
+    monkeypatch.setattr(ideals, "saturate_poly", lambda *args: calls.append(args) or reference(*args))
+    fields = [
+        (QQ, [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3)]),
+        (FiniteField(5), FiniteField(5).elements()[1:]),
+        (FiniteField(7), FiniteField(7).elements()[1:]),
+        (CycloField(6), [zeta(6, j) for j in range(6)] + [Fraction(2)]),
+    ]
+    rnd = random.Random(15)
+    cases = grew = ungraded = 0
+    for field, units in fields:
+        for R, rho in _partial_rank_characters(rnd, field, units, 30, (3, 4), 3):
+            got = ideal_from_character(R, rho)
+            assert not calls, rho
+            assert set(rho.cell) <= set(nonzerodivisor_variables(got)), rho
+            base = _basis_ideal(R, rho)
+            ref = reference(base, cell_product(R, rho.cell))
+            assert got.key() == ref.key(), rho
+            cases += 1
+            grew += ref.key() != base.key()
+            ungraded += any(min(r) >= 0 or max(r) <= 0 for r in rho.lattice.basis)
+    assert cases >= 100
+    # the saturation is needed in some cases, and some lattices hold a
+    # nonnegative basis vector, so are not positively graded
+    assert grew and ungraded
+
+
+def test_partial_rank_lattice_ideals_vs_sympy():
+    # independent oracle: sympy's lex basis of J + (t·∏cell − 1) with t
+    # first, its elements free of t reduced in grevlex
+    sympy = pytest.importorskip("sympy")
+    rnd = random.Random(1)
+    grew = 0
+    for R, rho in _partial_rank_characters(rnd, QQ, [Fraction(1), Fraction(-1), Fraction(2)], 8, (3, 4), 2):
+        xs = sympy.symbols(R.names)
+        t = sympy.Symbol("t")
+
+        def to_sympy(gens):
+            return sorted((sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod(
+                x**k for x, k in zip(xs, e)) for e, c in g.terms) for g in gens), key=str)
+
+        base = _basis_ideal(R, rho)
+        cell = sympy.prod(xs[v] for v in rho.cell)
+        lex = sympy.groebner(to_sympy(base.gens) + [t * cell - 1], t, *xs, order="lex", domain="QQ")
+        want = sympy.groebner([g for g in lex.exprs if not g.has(t)], *xs, order="grevlex", domain="QQ")
+        want = sorted(want.exprs, key=str)
+        assert to_sympy(ideal_from_character(R, rho).gb()) == want, rho
+        grew += to_sympy(base.gb()) != want
     assert grew
 
 

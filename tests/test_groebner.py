@@ -164,9 +164,11 @@ def test_random_general_inputs_vs_naive_oracle(checked):
 
 
 def test_ladder_saturation_checked(checked):
-    # both x^k - y, y^3 - z*x and the lattice basis that ideal_from_character
-    # saturates for it give the curve (t, t^k, t^(3k-1)) when saturated by
-    # x*y*z; the lattice basis's Groebner run is the one with many pairs
+    # both x^k - y, y^3 - z*x and the Hermite basis binomials of its curve's
+    # character give the curve (t, t^k, t^(3k-1)) when saturated by x*y*z
+    # through the auxiliary variable; on the lattice basis that Groebner run
+    # is the one with many pairs (ideal_from_character itself saturates that
+    # basis at its free variable z alone, on the colon tree)
     from binomials.ideals import Ideal, saturate_monomial
 
     R = Ring(QQ, ["x", "y", "z"])

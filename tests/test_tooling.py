@@ -18,6 +18,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from binomials import cli as binomials_cli
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -51,11 +53,15 @@ DIGESTS = Path(__file__).with_name("reference_digests.json")
 TEXT_DIGESTS = Path(__file__).with_name("reference_text_digests.json")
 
 
-def reference_sessions():
+def load_reference():
     spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE)
     reference = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reference)
-    return {name: text for name, (text, _) in reference.SESSIONS.items()}
+    return reference
+
+
+def reference_sessions():
+    return {name: text for name, (text, _) in load_reference().SESSIONS.items()}
 
 
 def cli(path, *flags, mode=("--json",)):
@@ -102,3 +108,20 @@ def test_showcase_output_is_recorded_output(tmp_path):
     assert [proc.returncode for proc in procs] == [0, 0], err
     assert_recorded_output("showcase_primary", out)
     assert_recorded_output("showcase_primary", report, TEXT_DIGESTS)
+
+
+def test_large_exponent_ladder_gives_the_closed_forms(tmp_path, capsys):
+    """The benchmark's ladder far above its k ≤ 50: saturating the curve's
+    lattice ideal at z needs z-order 2k − 2 = 398, beyond the bound of
+    `saturation_exponent`, and the answers are still the closed forms."""
+    reference = load_reference()
+    path = tmp_path / "ladder.txt"
+    path.write_text("ring QQ[x,y,z];\nideal I = x^200 - y, y^3 - z*x;\nradical I;\nminprimes I;\n")
+    assert binomials_cli.main(["--json", str(path)]) == 0
+    radical, minprimes = json.loads(capsys.readouterr().out)["results"]
+
+    def components(result):
+        return sorted(sorted(c["generators"]) for c in result["components"])
+
+    assert components(radical) == [sorted(reference.ladder_radical(200))]
+    assert components(minprimes) == sorted(sorted(p) for p in reference.ladder_primes(200))
