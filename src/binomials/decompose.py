@@ -34,13 +34,13 @@ from .ideals import (
     cell_product,
     cellular_localize,
     colon_monomial,
-    colon_poly,
     colon_quasipower_ratio,
     eliminate,
     intersect_all,
     quasi_power,
     saturate_monomial,
-    saturation_exponent,
+    saturate_poly,
+    saturation_order,
     standard_monomials,
     nonzerodivisor_variables,
     _ladder,
@@ -251,7 +251,7 @@ def _cellular_pieces(i):
     the exponents doubled until the pieces intersect to exactly I."""
     ring = i.ring
     proper = [cell for cell, _ in cell_scan(i)]
-    exps = [max(saturation_exponent(i, ring.var(v)), 1) for v in range(ring.nvars)]
+    exps = [max(saturation_order(i, v), 1) for v in range(ring.nvars)]
     for _ in range(MAX_ESCALATION):
         comps = []
         for cell in proper:
@@ -390,8 +390,8 @@ def localize(i, j, cell):
 
     The Noetherian loop colons away associated primes outside the minimal
     primes of J: by a quasi-power-ratio quotient when the disagreement is of
-    finite index (Case 1) and by a plain quasi-power quotient otherwise
-    (Case 2), escalating d until the quotient is certifiably binomial.
+    finite index (Case 1) and by saturating at a quasi-power otherwise
+    (Case 2), escalating d until the result is binomial.
     """
     ring = i.ring
     cell = tuple(sorted(cell))
@@ -456,8 +456,18 @@ def _colon_case_finite(cur, sigma, rho, cell):
 
 
 def _colon_case_infinite(cur, rho, lat, cell):
-    """Infinite-index case: colon by quasi_power(b, d) for m of infinite
-    order modulo the agreement lattice."""
+    """Infinite-index case: saturate by quasi_power(b, d) for m of infinite
+    order modulo the agreement lattice, b the binomial of m under rho.
+
+    (cur : (b^[d])^∞) keeps exactly the primary components of cur whose
+    primes avoid b^[d] (ES §6–7).  If an associated prime inside a minimal
+    prime of J held b^[d], then with sigma' the saturation of sigma there,
+    d·m would lie in the lattice of sigma' with sigma'(d·m) = rho(m)^d, so
+    a multiple of m would lie in the agreement lattice, against the choice
+    of m.  So the saturation keeps every component of I_(J) and drops the
+    one at rho's prime, which holds b and so b^[d].  I_(J) is unique, so
+    the first d whose saturation is binomial gives the same output as any
+    larger d."""
     ring = cur.ring
     sat = lat.saturation() if lat.rank else Lattice(len(cell))
     m = None
@@ -469,16 +479,12 @@ def _colon_case_infinite(cur, rho, lat, cell):
         raise BinomialsError("no infinite-order direction found")
     b = lattice_binomial(ring, cell, m, rho.value(m))
     for k in range(1, MAX_ESCALATION + 1):
-        d = _ladder(k)
-        bd = quasi_power(b, d)
-        out = colon_poly(cur, bd)
+        out = saturate_poly(cur, quasi_power(b, _ladder(k)))
         if not out.is_binomial():
-            continue
-        if colon_poly(out, bd) != out:
             continue
         if out != cur:
             return out
-    raise EscalationLimit("quasi-power colon failed to progress")
+    raise EscalationLimit("quasi-power saturation failed to progress")
 
 
 def hull(i):

@@ -2,23 +2,25 @@
 homogenization, quasi-powers, cellular localization.
 
 Intersection and `saturate_poly` go through one helper that appends a fresh
-auxiliary variable, which keeps each a single elimination Groebner run.
-Monomial colons use none: by Bayer–Stillman, (J : x_v^k) for homogeneous J
-is read off the degrevlex basis with x_v compared last, so they run on the
-homogenization of the ideal, where a binomial stays a binomial.  An `Ideal`
-keeps its homogenization I^h and the tree of colons (I^h : x^e) built on it,
-so `colon_monomial`, the one entry point for (I : x^e), computes each node
-once per object.  The same basis gives `saturation_order`, the k with
+auxiliary variable, which keeps each a single elimination Groebner run;
+`intersect_all` folds smallest basis first.  Monomial colons use none: by
+Bayer–Stillman, (J : x_v^k) for homogeneous J is read off the degrevlex
+basis with x_v compared last, so they run on the homogenization of the
+ideal, where a binomial stays a binomial.  An `Ideal` keeps its
+homogenization I^h and the tree of colons (I^h : x^e) built on it, so
+`colon_monomial`, the one entry point for (I : x^e), computes each node once
+per object.  The same basis gives `saturation_order`, the k with
 (I : x_v^k) = (I : x_v^∞), so a saturation at one variable is one colon;
 lattice ideals are saturated that way, at their free variables.  The
-auxiliary variable stays for `saturate_monomial` by a product of variables
-(cellular localization, hulls, quasi-power ratios), where it is faster.
-Binomiality of results is asserted where the theory guarantees it.
+auxiliary variable stays for saturations by a product of variables, where
+it is faster, and by a quasi-power.  Binomiality of results is checked
+where the theory guarantees it.
 """
 
 from math import lcm
 
 from .errors import (
+    BinomialsError,
     EscalationLimit,
     InfiniteStandardSet,
     NonzerodivisorViolated,
@@ -146,10 +148,9 @@ def eliminate(i, keep):
         return i.canonical()
     gb = i.gb(elim_order(drop, ring.nvars))
     kept = [p for p in gb if not p.involves(drop)]
-    out = Ideal(ring, kept)
-    if all(len(g.terms) <= 2 for g in i.gens):
-        assert all(len(p.terms) <= 2 for p in kept), "elimination broke binomiality"
-    return out
+    if all(len(g.terms) <= 2 for g in i.gens) and any(len(p.terms) > 2 for p in kept):
+        raise BinomialsError("elimination broke binomiality")
+    return Ideal(ring, kept)
 
 
 def restrict_to_subring(i, keep):
@@ -200,11 +201,17 @@ def intersect(i, j):
 
 
 def intersect_all(ideals, ring):
-    """Left fold of pairwise intersections, skipping redundant factors."""
+    """Left fold of pairwise intersections, skipping redundant factors.
+
+    Units are dropped and the rest folded in ascending order of the length
+    of their reduced degrevlex basis, which `is_unit` has built.  A step is
+    one elimination run on t·A + (1−t)·K, and the accumulator A's basis
+    tends to grow with each factor K folded in: a long K taken early
+    lengthens A for every later step, taken late for few.  As in merging
+    the shortest lists first, A stays short for as many steps as possible.
+    The order does not change the ideal, so neither its reduced basis."""
     acc = None
-    for k in ideals:
-        if k.is_unit():
-            continue
+    for k in sorted((k for k in ideals if not k.is_unit()), key=lambda k: len(k.gb().polys)):
         if acc is None:
             acc = k.canonical()
             continue
@@ -269,30 +276,17 @@ def colon_monomial(i, m):
 
 def saturate_monomial(i, m):
     out = saturate_poly(i, m)
-    if all(len(g.terms) <= 2 for g in i.gens):
-        assert out.is_binomial(), "monomial saturation broke binomiality"
+    if all(len(g.terms) <= 2 for g in i.gens) and not out.is_binomial():
+        raise BinomialsError("monomial saturation broke binomiality")
     return out
 
 
-def saturation_exponent(i, xv):
-    """Smallest k with (I : x_v^k) = (I : x_v^∞) for a variable x_v.
+def saturation_order(i, v):
+    """Smallest k with (I : x_v^k) = (I : x_v^∞), for the variable x_v.
 
     This is the largest x_v-order in the revlex basis of I^h with x_v last:
     its leading monomials minimally generate the initial ideal, so no
-    smaller k clears x_v from all of them.  Above 256 it is EscalationLimit.
-    """
-    e = _monomial_exponent(xv)
-    if mono_deg(e) != 1:
-        raise ValueError(f"{render_poly(xv)} is not a variable")
-    k = saturation_order(i, e.index(1))
-    if k > 256:
-        raise EscalationLimit("saturation exponent exceeded bound")
-    return k
-
-
-def saturation_order(i, v):
-    """The largest x_v-order in the revlex basis of I^h with x_v last, with
-    no bound: (I : x_v^k) = (I : x_v^∞) for this k."""
+    smaller k clears x_v from all of them.  It has no bound."""
     return max((_order_in(g, v) for g in revlex_basis(homogenize(i), v)), default=0)
 
 
@@ -453,8 +447,8 @@ def colon_quasipower(i, b, d=None):
             continue
         if colon_poly(i, quasi_power(b, 3 * d)) != j:
             continue
-        if all(len(g.terms) <= 2 for g in i.gens):
-            assert j.is_binomial(), "stabilized quasi-power colon must be binomial"
+        if all(len(g.terms) <= 2 for g in i.gens) and not j.is_binomial():
+            raise BinomialsError("stabilized quasi-power colon must be binomial")
         return j, d
     raise EscalationLimit("colon_quasipower escalation exceeded bound")
 

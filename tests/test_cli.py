@@ -280,3 +280,19 @@ def test_cellular_json_includes_exponents():
     (rec,) = doc["results"]
     assert all("exponents" in comp for comp in rec["components"])
     assert rec["certificates"]["intersection_verified"] is True
+
+
+def test_large_saturation_exponent_answers():
+    # x's saturation exponent is 300, so the cellular localization adds
+    # x^300; the exponent is read off one revlex basis with no bound
+    text = "ring QQ[x,y,z]; ideal I = x^300*y - x^300*z;"
+    for command, want in (("cellular", "cell {y,z}: x^300"), ("primary", "prime: x")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "binomials.cli"],
+            input=f"{text} {command} I;",
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "cell {x,y,z}: y - z" in proc.stdout
+        assert want in proc.stdout

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from binomials.characters import PartialCharacter, character_prime_ideal, ideal_from_character
+from binomials import decompose
+from binomials.characters import (
+    PartialCharacter,
+    character_prime_ideal,
+    ideal_from_character,
+    lattice_binomial,
+)
 from binomials.decompose import (
     _cell_below,
     _cellular_pieces,
@@ -23,12 +29,16 @@ from binomials.decompose import (
     primary_test,
     radical,
 )
-from binomials.errors import RootNotInField
+from binomials.errors import EscalationLimit, RootNotCyclotomic, RootNotInField
 from binomials.ideals import (
+    MAX_ESCALATION,
     Ideal,
+    _ladder,
     cell_product,
+    colon_poly,
     intersect_all,
     nonzerodivisor_variables,
+    quasi_power,
     saturate_monomial,
     saturate_poly,
 )
@@ -283,6 +293,93 @@ def test_localize_finite_index_case():
     assert out2 == Ideal(R, (x + 1,))
 
 
+def _case_2_colon_ladder(cur, rho, lat, cell):
+    """Reference for the infinite-index step of `localize`: colon by b^[d]
+    up the ladder, accepting out = (cur : b^[d]) once it is binomial, equal
+    to (out : b^[d]) and different from cur."""
+    ring = cur.ring
+    sat = lat.saturation() if lat.rank else Lattice(len(cell))
+    m = next(row for row in rho.lattice.basis if sat.rank == 0 or list(row) not in sat)
+    b = lattice_binomial(ring, cell, m, rho.value(m))
+    for k in range(1, MAX_ESCALATION + 1):
+        bd = quasi_power(b, _ladder(k))
+        out = colon_poly(cur, bd)
+        if not out.is_binomial():
+            continue
+        if colon_poly(out, bd) != out:
+            continue
+        if out != cur:
+            return out
+    raise EscalationLimit("quasi-power colon failed to progress")
+
+
+def _cellular_with_embedded_primes(rng):
+    """A cellular binomial ideal on the cell of its x variables: powers of
+    the off-cell variables u, w and off-cell variables times binomials in
+    the cell, saturated at the cell product.  Its embedded primes carry
+    lattices that the minimal ones lack, which is Case 2 of `localize`."""
+    field = rng.choice([QQ, FiniteField(5), FiniteField(7)])
+    ncell, noff = rng.randint(2, 3), rng.randint(1, 2)
+    R = Ring(field, [f"x{i}" for i in range(ncell)] + ["u", "w"][:noff])
+    n = ncell + noff
+    cell = tuple(range(ncell))
+
+    def binomial():
+        a, b = (tuple(rng.randint(0, 2) for _ in cell) + (0,) * noff for _ in range(2))
+        return R.monomial(a) - R.monomial(b, rng.choice([1, -1] if field is QQ else [1, -1, 2, 3]))
+
+    gens = [R.var(v) ** rng.randint(2, 3) for v in range(ncell, n)]
+    gens += [R.var(rng.randrange(ncell, n)) * binomial() for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.4:
+        gens.append(binomial())
+    return saturate_monomial(Ideal(R, gens), cell_product(R, cell)), cell
+
+
+def test_case_2_saturation_matches_the_colon_ladder(monkeypatch):
+    # I_(J) is unique, so one saturation per Case-2 step must give what the
+    # colon ladder gives, though it may accept a smaller d
+    step = decompose._colon_case_infinite
+    steps, saturations = [], []
+
+    def counted_step(*args):
+        steps.append(args)
+        return step(*args)
+
+    def recorded_saturation(ideal, f):
+        saturations.append(saturate_poly(ideal, f))
+        return saturations[-1]
+
+    rng = random.Random(16)
+    reached = {"QQ": 0, "GF(p)": 0}  # ideals with a Case-2 step
+    non_binomial = 0
+    for _ in range(80):
+        i, cell = _cellular_with_embedded_primes(rng)
+        if i.is_unit():
+            continue
+        assert is_cellular(i) == (True, cell), i
+        try:
+            ass = associated_prime_characters(i, cell)
+        except (RootNotInField, RootNotCyclotomic):  # the field lacks a root it needs
+            continue
+        hit = False
+        for j in (i, character_prime_ideal(i.ring, rng.choice(ass))):
+            with monkeypatch.context() as patch:
+                patch.setattr(decompose, "_colon_case_infinite", _case_2_colon_ladder)
+                want = localize(i, j, cell)
+            steps.clear()
+            saturations.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(decompose, "_colon_case_infinite", counted_step)
+                patch.setattr(decompose, "saturate_poly", recorded_saturation)
+                got = localize(i, j, cell)
+            assert got.key() == want.key(), (i, j)
+            hit = hit or bool(steps)
+            non_binomial += any(not s.is_binomial() for s in saturations)
+        reached["GF(p)" if i.ring.field.char else "QQ"] += hit
+    assert sum(reached.values()) >= 30 and min(reached.values()) >= 10, reached
+    assert non_binomial >= 3
+
+
 def test_localize_drops_everything_when_disjoint():
     R = Ring(QQ, ["x"])
     x = R.var(0)
@@ -535,3 +632,26 @@ def test_localized_pruning_matches_all_others_rule():
         assert kept == _primary_pruned_by_all_others(cands, ring), ideal
         dropped["primary"] += len(kept) < len(cands)
     assert dropped["cellular"] >= 10 and dropped["primary"] >= 3, dropped
+
+
+def test_certificate_fold_does_not_depend_on_input_order():
+    # intersect_all folds by basis length, so a permutation of its inputs
+    # can only reorder ties; the unit ideal and I itself are skipped
+    showcase = (
+        "b*d^2-a*f^2, b*c*e-a*c*f, b*c*d-a*c*e, b^2*e-a*b*f, b^2*c, a*e^2-b*f^2, "
+        "a*d^2-b*e^2, a*c*d-b*c*f, a*b*e-a^2*f, a*b*c, a*b^2-b^3, a^2*e-b^2*f, a^2*c, "
+        "b^4, a^2*b-b^3, a^3-b^3, c^3*e-c^3*f, c^4, b^3*d-b^3*f, a*c^3-b*c^3, "
+        "c*d^4-c*e^2*f^2"
+    )
+    rng = random.Random(16)
+    for field, names, gens, shuffles in (
+        (CycloField(12), "a,b,c,d,e,f", showcase, 2),
+        (QQ, "x1,x2,x3,y", "x1-y*x2, x2-y*x3, x3-y*x1", 8),
+    ):
+        R = Ring(field, names.split(","))
+        I = Ideal(R, [R.parse(g) for g in gens.split(", ")])
+        comps = [pc.ideal for pc in primary_decomposition(I)] + [Ideal(R, (R.one,)), I]
+        orders = [comps, comps[::-1]]
+        for _ in range(shuffles):
+            orders.append(rng.sample(comps, len(comps)))
+        assert {intersect_all(order, R).key() for order in orders} == {I.key()}

@@ -25,7 +25,7 @@ from binomials.ideals import (
     quasi_power_ratio,
     restrict_to_subring,
     saturate_monomial,
-    saturation_exponent,
+    saturation_order,
     standard_monomials,
 )
 from binomials.poly import Ring
@@ -146,7 +146,7 @@ def test_homogenization_is_kept_on_the_ideal():
     with mock.patch.object(ideals, "groebner_basis", side_effect=ideals.groebner_basis) as gb:
         assert is_cellular(I) == (True, (1, 2))
         runs = gb.call_count
-        assert [saturation_exponent(I, R.var(v)) for v in range(3)] == [2, 0, 0]
+        assert [saturation_order(I, v) for v in range(3)] == [2, 0, 0]
     # one degrevlex basis of I, then one revlex basis of I^h per variable
     assert runs == 4 and gb.call_count == runs
     assert homogenize(I) is homogenize(I)
@@ -247,9 +247,9 @@ def test_cellular_localize():
 def test_saturation_exponent(rxy):
     x, y = rxy.var(0), rxy.var(1)
     I = Ideal(rxy, (x**3 - x * y * y,))
-    assert saturation_exponent(I, x) == 1
+    assert saturation_order(I, 0) == 1
     I2 = Ideal(rxy, (x**3 * (x - y),))
-    assert saturation_exponent(I2, x) == 3
+    assert saturation_order(I2, 0) == 3
 
 
 # -- the aux-variable definitions the Bayer–Stillman colons replaced ---------
@@ -308,8 +308,8 @@ def test_monomial_colons_vs_intersection_route(checked):
             e[v] = rnd.randint(1, 3)
         m = R.monomial(tuple(e))
         assert colon_monomial(I, m).key() == _colon_by_intersection(I, m).key(), (I, m)
-        xv = R.var(rnd.randrange(n))
-        assert saturation_exponent(I, xv) == _saturation_exponent_by_iteration(I, xv), (I, xv)
+        v = rnd.randrange(n)
+        assert saturation_order(I, v) == _saturation_exponent_by_iteration(I, R.var(v)), (I, v)
         nzd = tuple(v for v in range(n) if _colon_by_intersection(I, R.var(v)) == I)
         assert nonzerodivisor_variables(I) == nzd, I
         b = R.monomial(tuple(e)) - R.monomial((0,) * n, 2)

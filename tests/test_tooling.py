@@ -112,8 +112,8 @@ def test_showcase_output_is_recorded_output(tmp_path):
 
 def test_large_exponent_ladder_gives_the_closed_forms(tmp_path, capsys):
     """The benchmark's ladder far above its k ≤ 50: saturating the curve's
-    lattice ideal at z needs z-order 2k − 2 = 398, beyond the bound of
-    `saturation_exponent`, and the answers are still the closed forms."""
+    lattice ideal at z needs z-order 2k − 2 = 398, and the answers are
+    still the closed forms."""
     reference = load_reference()
     path = tmp_path / "ladder.txt"
     path.write_text("ring QQ[x,y,z];\nideal I = x^200 - y, y^3 - z*x;\nradical I;\nminprimes I;\n")
