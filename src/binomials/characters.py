@@ -12,6 +12,7 @@ from math import lcm, prod
 
 from . import checks
 from .errors import (
+    BinomialsError,
     InconsistentCharacter,
     MonomialInIdeal,
     NotBinomial,
@@ -170,7 +171,8 @@ def extend_all(rho, sup):
 
 def extend_unique(rho, sup):
     exts = extend_all(rho, sup)
-    assert len(exts) == 1, "extension expected to be unique"
+    if len(exts) != 1:
+        raise BinomialsError("extension expected to be unique")
     return exts[0]
 
 
@@ -194,7 +196,8 @@ def character_saturations(rho):
     rho_p = rho if sat_p == rho.lattice else extend_unique(rho, sat_p)
     sat_full = rho.lattice.saturation()
     partials = extend_all(rho, sat_pp)
-    assert len(partials) == g
+    if len(partials) != g:
+        raise BinomialsError(f"expected {g} extensions to Sat'_p(L), found {len(partials)}")
     full = [
         e if e.lattice == sat_full else extend_unique(e, sat_full) for e in partials
     ]
@@ -336,7 +339,7 @@ def character_prime_ideal(ring, rho):
 
 
 # ---------------------------------------------------------------------------
-# multiplicative relation lattices (used by the localization loop)
+# multiplicative relation lattices (used by `localize`)
 
 
 def relation_lattice(values, field):

@@ -5,15 +5,16 @@ per coordinate cell Z: substitute the off-cell variables by zero in the
 reduced Groebner basis and read the partial character straight off the
 binomials that remain (ES Thm 2.1), with no Groebner run per cell.
 Decomposition proper runs the witness/standard-monomial machinery on
-cellular pieces, colons embedded primes away through quasi-power quotients,
-and certifies every output (exact intersection, primary test) before
-returning it.  The witness colons (I : x^m), one per standard monomial m,
-all come from `colon_monomial`, whose tree stays on the `Ideal`: the primary
-test that certifies a hull reuses the colons its localization loop made.
+cellular pieces, removes embedded primes by one saturation per hull, and
+certifies every output (exact intersection, primary test) before returning
+it.  The witness colons (I : x^m), one per standard monomial m, all come
+from `colon_monomial`, whose tree stays on the `Ideal`: when a hull's
+associated-prime scan finds no embedded prime, the primary test that
+certifies it reuses that scan's colons.
 """
 
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 
 from . import checks
 from .errors import BinomialsError, EscalationLimit
@@ -34,20 +35,18 @@ from .ideals import (
     cell_product,
     cellular_localize,
     colon_monomial,
-    colon_quasipower_ratio,
     eliminate,
     intersect_all,
-    quasi_power,
+    quasi_power_ratio,
     saturate_monomial,
     saturate_poly,
     saturation_order,
     standard_monomials,
     nonzerodivisor_variables,
-    _ladder,
 )
 from .intlattice import Lattice
 from .poly import Polynomial
-from .scalars import p_part, scalar_order
+from .scalars import scalar_order
 
 
 class CellularComponent:
@@ -147,8 +146,8 @@ def radical(i):
         rho_p = p_saturation(rho)
         pieces.append(character_prime_ideal(ring, rho_p))
     out = intersect_all(pieces, ring)
-    if all(len(g.terms) <= 2 for g in i.gens):
-        assert out.is_binomial(), "radical of a binomial ideal must be binomial"
+    if all(len(g.terms) <= 2 for g in i.gens) and not out.is_binomial():
+        raise BinomialsError("radical of a binomial ideal must be binomial")
     if checks.ENABLED:
         assert out.contains(i)
     return out
@@ -381,17 +380,40 @@ def associated_prime_characters(i, cell):
 
 
 # ---------------------------------------------------------------------------
-# hull / localization at minimal primes (both colon cases)
+# hull / localization at minimal primes
 
 
 def localize(i, j, cell):
     """I_(J): intersection of the primary components of I contained in a
     minimal prime of J (both cellular with respect to the same cell).
 
-    The Noetherian loop colons away associated primes outside the minimal
-    primes of J: by a quasi-power-ratio quotient when the disagreement is of
-    finite index (Case 1) and by saturating at a quasi-power otherwise
-    (Case 2), escalating d until the result is binomial.
+    One scan of Ass(I) and one saturation.  For each embedded prime P_rho,
+    one lying in no minimal prime P_sigma' of J (sigma' a saturation of
+    sigma, the p-saturated character of J), pick a polynomial f_rho in
+    P_rho and in no P_sigma'; a prime holding an earlier f is skipped.
+    Then I : (∏ f_rho)^∞ keeps exactly the primary components whose primes
+    hold no f_rho (ES §6–7): those inside a minimal prime of J, since a
+    prime inside P_sigma' holds only what P_sigma' holds.  That is I_(J).
+
+    Case 1, the agreement lattice of sigma and rho has finite index in
+    L_rho.  Take m in L_sigma ∩ L_rho with sigma(m) != rho(m),
+    b = x^(m+) − c·x^(m−) for c = sigma(m), and o the order of the root of
+    unity zeta = rho(m)/c (prime to p in char p, as is the order of every
+    root of unity there).  Then
+    f = b^[o]/b = sum over k < o of x^((o−1−k)·m+)·(c·x^(m−))^k.
+    Modulo P_rho, x^(m+) ≡ zeta·c·x^(m−), so
+    f ≡ (c·x^(m−))^(o−1)·sum_k zeta^(o−1−k) = 0.  Modulo P_sigma',
+    x^(m+) ≡ c·x^(m−), as m is in L_sigma ⊆ L_sigma', so
+    f ≡ o·(c·x^(m−))^(o−1), with o != 0 and x^(m−) outside the prime.
+
+    Case 2, infinite index.  Take m in L_rho of infinite order modulo the
+    agreement lattice and f = b = x^(m+) − rho(m)·x^(m−), which is in
+    P_rho.  If P_sigma' held b, then with sigma' saturated m would lie in
+    L_sigma' with sigma'(m) = rho(m); some g·m lies in L_sigma, where
+    sigma(g·m) = rho(m)^g = rho(g·m), so g·m would lie in the agreement
+    lattice, against the choice of m.
+
+    I_(J) of a cellular binomial ideal is binomial; that is checked.
     """
     ring = i.ring
     cell = tuple(sorted(cell))
@@ -399,43 +421,40 @@ def localize(i, j, cell):
     _, min_sats = character_saturations(sigma)
     min_primes = [character_prime_ideal(ring, s) for s in min_sats]
     cur = i.canonical()
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 200:
-            raise EscalationLimit("localization loop failed to terminate")
-        if cur.is_unit():
-            return cur
-        ass = associated_prime_characters(cur, cell)
-        embedded = []
-        for s in ass:
-            p_ideal = character_prime_ideal(ring, s)
-            if not any(q.contains(p_ideal) for q in min_primes):
-                embedded.append((s, p_ideal))
-        if not embedded:
-            return cur
-        rho, p_ideal = embedded[0]
+    if cur.is_unit():
+        return cur
+    fs = []
+    for rho in associated_prime_characters(cur, cell):
+        p_ideal = character_prime_ideal(ring, rho)
+        if any(q.contains(p_ideal) for q in min_primes):
+            continue
+        if any(p_ideal.contains(f) for f in fs):
+            continue
         lat = agreement_lattice(sigma, rho)
         if lat.rank == rho.lattice.rank:
-            cur = _colon_case_finite(cur, sigma, rho, cell)
+            fs.append(_finite_index_poly(sigma, rho, cell, ring))
         else:
-            cur = _colon_case_infinite(cur, rho, lat, cell)
+            fs.append(_infinite_index_poly(rho, lat, cell, ring))
+    if not fs:
+        return cur
+    out = saturate_poly(cur, prod(fs))
+    if not out.is_binomial():
+        raise BinomialsError("localization of a cellular binomial ideal is not binomial")
+    return out
 
 
-def _colon_case_finite(cur, sigma, rho, cell):
-    """Finite-index case: some m in both lattices has sigma(m) != rho(m)."""
-    ring = cur.ring
-    l0 = sigma.lattice.intersection(rho.lattice)
-    m = None
-    for row in l0.basis:
-        if sigma.value(row) != rho.value(row):
-            m = row
-            break
+def _finite_index_poly(sigma, rho, cell, ring):
+    """Case 1 of `localize`: b^[o]/b for the first basis row m of
+    L_sigma ∩ L_rho with sigma(m) != rho(m)."""
+    m = next(
+        (row for row in sigma.lattice.intersection(rho.lattice).basis
+         if sigma.value(row) != rho.value(row)),
+        None,
+    )
     if m is None:
         raise BinomialsError("agreement lattice computation is inconsistent")
-    sv = sigma.value(m)
-    b = lattice_binomial(ring, cell, m, sv)
-    ratio = rho.value(m) / sv
+    c = sigma.value(m)
+    ratio = rho.value(m) / c
     o = 1
     acc = ratio
     while acc != ring.field.one:
@@ -443,57 +462,31 @@ def _colon_case_finite(cur, sigma, rho, cell):
         o += 1
         if o > 10_000:
             raise EscalationLimit("root of unity order out of range")
-    p = ring.field.char
-    for k in range(1, MAX_ESCALATION + 1):
-        d = o * _ladder(k)
-        q = p_part(d, p)
-        out = colon_quasipower_ratio(cur, b, d, q)
-        if not out.is_binomial():
-            continue
-        if out != cur:
-            return out
-    raise EscalationLimit("finite-index colon failed to progress")
+    return quasi_power_ratio(lattice_binomial(ring, cell, m, c), o, 1)
 
 
-def _colon_case_infinite(cur, rho, lat, cell):
-    """Infinite-index case: saturate by quasi_power(b, d) for m of infinite
-    order modulo the agreement lattice, b the binomial of m under rho.
-
-    (cur : (b^[d])^∞) keeps exactly the primary components of cur whose
-    primes avoid b^[d] (ES §6–7).  If an associated prime inside a minimal
-    prime of J held b^[d], then with sigma' the saturation of sigma there,
-    d·m would lie in the lattice of sigma' with sigma'(d·m) = rho(m)^d, so
-    a multiple of m would lie in the agreement lattice, against the choice
-    of m.  So the saturation keeps every component of I_(J) and drops the
-    one at rho's prime, which holds b and so b^[d].  I_(J) is unique, so
-    the first d whose saturation is binomial gives the same output as any
-    larger d."""
-    ring = cur.ring
+def _infinite_index_poly(rho, lat, cell, ring):
+    """Case 2 of `localize`: the rho-binomial of the first basis row of
+    L_rho outside the saturation of the agreement lattice `lat`."""
     sat = lat.saturation() if lat.rank else Lattice(len(cell))
-    m = None
-    for row in rho.lattice.basis:
-        if sat.rank == 0 or list(row) not in sat:
-            m = row
-            break
+    m = next(
+        (row for row in rho.lattice.basis if sat.rank == 0 or list(row) not in sat),
+        None,
+    )
     if m is None:
         raise BinomialsError("no infinite-order direction found")
-    b = lattice_binomial(ring, cell, m, rho.value(m))
-    for k in range(1, MAX_ESCALATION + 1):
-        out = saturate_poly(cur, quasi_power(b, _ladder(k)))
-        if not out.is_binomial():
-            continue
-        if out != cur:
-            return out
-    raise EscalationLimit("quasi-power saturation failed to progress")
+    return lattice_binomial(ring, cell, m, rho.value(m))
 
 
 def hull(i):
     """Hull(I) = I_(√I): the intersection of minimal primary components.
 
-    For cellular I this is the Noetherian colon loop; for general
-    binomial I each minimal prime is localized inside the cellular component
-    of its own cell and the pieces are intersected.  Binomiality of the
-    non-cellular hull is checked, not assumed (an open question in general).
+    For cellular I this is one `localize`, one associated-prime scan and
+    one saturation; for general binomial I each minimal prime is localized
+    inside the cellular component of its own cell and the pieces are
+    intersected.  Each piece is checked binomial in `localize`; whether
+    their intersection, the non-cellular hull, is binomial is an open
+    question in general, so it is not assumed.
     """
     cellular_ok, cell = is_cellular(i)
     if cellular_ok:

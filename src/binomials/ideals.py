@@ -13,7 +13,8 @@ per object.  The same basis gives `saturation_order`, the k with
 (I : x_v^k) = (I : x_v^∞), so a saturation at one variable is one colon;
 lattice ideals are saturated that way, at their free variables.  The
 auxiliary variable stays for saturations by a product of variables, where
-it is faster, and by a quasi-power.  Binomiality of results is checked
+it is faster, and by the product of quasi-power ratios and binomials with
+which `localize` removes embedded primes.  Binomiality of results is checked
 where the theory guarantees it.
 """
 

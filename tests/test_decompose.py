@@ -6,9 +6,13 @@ import pytest
 from binomials import decompose
 from binomials.characters import (
     PartialCharacter,
+    agreement_lattice,
+    character_from_cellular,
     character_prime_ideal,
+    character_saturations,
     ideal_from_character,
     lattice_binomial,
+    p_saturation,
 )
 from binomials.decompose import (
     _cell_below,
@@ -29,13 +33,14 @@ from binomials.decompose import (
     primary_test,
     radical,
 )
-from binomials.errors import EscalationLimit, RootNotCyclotomic, RootNotInField
+from binomials.errors import BinomialsError, EscalationLimit, RootNotCyclotomic, RootNotInField
 from binomials.ideals import (
     MAX_ESCALATION,
     Ideal,
     _ladder,
     cell_product,
     colon_poly,
+    colon_quasipower_ratio,
     intersect_all,
     nonzerodivisor_variables,
     quasi_power,
@@ -44,7 +49,7 @@ from binomials.ideals import (
 )
 from binomials.intlattice import Lattice
 from binomials.poly import Ring
-from binomials.scalars import QQ, CycloField, FiniteField
+from binomials.scalars import QQ, CycloField, FiniteField, p_part, zeta
 
 
 @pytest.fixture
@@ -111,6 +116,25 @@ def test_radical_idempotent_and_contains(coupled_differences):
     assert radical(rad) == rad
     assert rad.contains(coupled_differences)
     assert rad == intersect_all(minimal_primes(coupled_differences), coupled_differences.ring)
+
+
+def test_broken_invariants_raise_typed_errors(monkeypatch, coupled_differences):
+    # a plain assert vanishes under python -O; these must not
+    from binomials import characters
+
+    R = coupled_differences.ring
+    rho = PartialCharacter.from_generators((0,), [[2]], [R.field.one], R.field)
+    with monkeypatch.context() as patch:
+        patch.setattr(characters, "extend_all", lambda rho, sup: [])
+        with pytest.raises(BinomialsError, match="extension expected to be unique"):
+            characters.extend_unique(rho, Lattice(1, [[1]]))
+        with pytest.raises(BinomialsError, match="extensions"):
+            character_saturations(rho)
+    x = R.var(2)
+    with monkeypatch.context() as patch:
+        patch.setattr(decompose, "intersect_all", lambda pieces, ring: Ideal(ring, (x**2 + x + 1,)))
+        with pytest.raises(BinomialsError, match="radical of a binomial ideal"):
+            radical(coupled_differences)
 
 
 def test_radical_frobenius():
@@ -282,7 +306,7 @@ def test_hull_examples():
 
 def test_localize_finite_index_case():
     # localizing (x^2-1) at its minimal prime (x-1) exercises the
-    # finite-index colon: the agreement lattice is 2Z inside Z
+    # finite-index case: the agreement lattice is 2Z inside Z
     R = Ring(QQ, ["x"])
     x = R.var(0)
     I = Ideal(R, (x * x - 1,))
@@ -293,10 +317,29 @@ def test_localize_finite_index_case():
     assert out2 == Ideal(R, (x + 1,))
 
 
+def _case_1_colon_ladder(cur, sigma, rho, cell):
+    """Case 1 of the reference loop: colon by b^[d]/b^[q] for
+    d = o·lcm(1..k) and q its p-part, accepting the first binomial result
+    that differs from cur."""
+    ring = cur.ring
+    l0 = sigma.lattice.intersection(rho.lattice)
+    m = next(row for row in l0.basis if sigma.value(row) != rho.value(row))
+    c = sigma.value(m)
+    b = lattice_binomial(ring, cell, m, c)
+    ratio = rho.value(m) / c
+    o = next(k for k in range(1, 10_001) if ratio**k == ring.field.one)
+    for k in range(1, MAX_ESCALATION + 1):
+        d = o * _ladder(k)
+        out = colon_quasipower_ratio(cur, b, d, p_part(d, ring.field.char))
+        if out.is_binomial() and out != cur:
+            return out
+    raise EscalationLimit("finite-index colon failed to progress")
+
+
 def _case_2_colon_ladder(cur, rho, lat, cell):
-    """Reference for the infinite-index step of `localize`: colon by b^[d]
-    up the ladder, accepting out = (cur : b^[d]) once it is binomial, equal
-    to (out : b^[d]) and different from cur."""
+    """Case 2 of the reference loop: colon by b^[d] up the ladder, accepting
+    out = (cur : b^[d]) once it is binomial, equal to (out : b^[d]) and
+    different from cur."""
     ring = cur.ring
     sat = lat.saturation() if lat.rank else Lattice(len(cell))
     m = next(row for row in rho.lattice.basis if sat.rank == 0 or list(row) not in sat)
@@ -311,6 +354,36 @@ def _case_2_colon_ladder(cur, rho, lat, cell):
         if out != cur:
             return out
     raise EscalationLimit("quasi-power colon failed to progress")
+
+
+def _localize_loop(i, j, cell, seen):
+    """Reference for `localize`: the Noetherian loop, which re-scans Ass(cur)
+    each round and colons the first embedded prime away.  Adds to `seen` the
+    cases taken and the embedded primes of the first round."""
+    ring = i.ring
+    sigma = p_saturation(character_from_cellular(j, cell))
+    _, min_sats = character_saturations(sigma)
+    min_primes = [character_prime_ideal(ring, s) for s in min_sats]
+    cur = i.canonical()
+    for _ in range(200):
+        if cur.is_unit():
+            return cur
+        embedded = [
+            rho for rho in associated_prime_characters(cur, cell)
+            if not any(q.contains(character_prime_ideal(ring, rho)) for q in min_primes)
+        ]
+        if not embedded:
+            return cur
+        seen.setdefault("embedded", len(embedded))
+        rho = embedded[0]
+        lat = agreement_lattice(sigma, rho)
+        if lat.rank == rho.lattice.rank:
+            seen.setdefault("cases", set()).add(1)
+            cur = _case_1_colon_ladder(cur, sigma, rho, cell)
+        else:
+            seen.setdefault("cases", set()).add(2)
+            cur = _case_2_colon_ladder(cur, rho, lat, cell)
+    raise EscalationLimit("localization loop failed to terminate")
 
 
 def _cellular_with_embedded_primes(rng):
@@ -335,25 +408,40 @@ def _cellular_with_embedded_primes(rng):
     return saturate_monomial(Ideal(R, gens), cell_product(R, cell)), cell
 
 
-def test_case_2_saturation_matches_the_colon_ladder(monkeypatch):
-    # I_(J) is unique, so one saturation per Case-2 step must give what the
-    # colon ladder gives, though it may accept a smaller d
-    step = decompose._colon_case_infinite
-    steps, saturations = [], []
+def _cellular_with_split_minimal_primes(rng):
+    """A cellular ideal whose lattice is not saturated: a cell binomial
+    x^(g·a) − ζ·x^(g·b) with g in {2, 3} over a field holding the roots it
+    needs, plus an off-cell variable u times cell binomials x^a − ζ'·x^b.
+    Localized at one of its minimal primes, the others are of finite index
+    in its lattice, which is Case 1 of `localize`."""
+    field, units = rng.choice([
+        (CycloField(6), [zeta(6, k) for k in range(6)]),
+        (FiniteField(7), list(range(1, 7))),
+        (FiniteField(13), list(range(1, 13))),
+    ])
+    R = Ring(field, ["x0", "x1", "u"])
+    cell = (0, 1)
+    g = rng.choice([2, 3])
+    a, b = rng.choice([((1, 0), (0, 1)), ((1, 0), (0, 0)), ((2, 0), (0, 1))])
 
-    def counted_step(*args):
-        steps.append(args)
-        return step(*args)
+    def binomial(e, f, k=1):
+        c = rng.choice(units)
+        return R.monomial((k * e[0], k * e[1], 0)) - R.monomial((k * f[0], k * f[1], 0), c)
 
-    def recorded_saturation(ideal, f):
-        saturations.append(saturate_poly(ideal, f))
-        return saturations[-1]
+    gens = [binomial(a, b, g), R.var(2) ** rng.randint(2, 3)]
+    for _ in range(rng.randint(1, 2)):
+        e, f = (tuple(rng.randint(0, 2) for _ in cell) for _ in range(2))
+        gens.append(R.var(2) * binomial(e, f))
+    return saturate_monomial(Ideal(R, gens), cell_product(R, cell)), cell
 
-    rng = random.Random(16)
-    reached = {"QQ": 0, "GF(p)": 0}  # ideals with a Case-2 step
-    non_binomial = 0
-    for _ in range(80):
-        i, cell = _cellular_with_embedded_primes(rng)
+
+def _localization_inputs():
+    """Seeded (I, J, cell) triples for `localize`: I cellular, J either I or
+    one of its associated primes."""
+    rng = random.Random(18)
+    out = []
+    for make in [_cellular_with_embedded_primes] * 80 + [_cellular_with_split_minimal_primes] * 40:
+        i, cell = make(rng)
         if i.is_unit():
             continue
         assert is_cellular(i) == (True, cell), i
@@ -361,23 +449,42 @@ def test_case_2_saturation_matches_the_colon_ladder(monkeypatch):
             ass = associated_prime_characters(i, cell)
         except (RootNotInField, RootNotCyclotomic):  # the field lacks a root it needs
             continue
-        hit = False
-        for j in (i, character_prime_ideal(i.ring, rng.choice(ass))):
-            with monkeypatch.context() as patch:
-                patch.setattr(decompose, "_colon_case_infinite", _case_2_colon_ladder)
-                want = localize(i, j, cell)
-            steps.clear()
-            saturations.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(decompose, "_colon_case_infinite", counted_step)
-                patch.setattr(decompose, "saturate_poly", recorded_saturation)
-                got = localize(i, j, cell)
-            assert got.key() == want.key(), (i, j)
-            hit = hit or bool(steps)
-            non_binomial += any(not s.is_binomial() for s in saturations)
-        reached["GF(p)" if i.ring.field.char else "QQ"] += hit
-    assert sum(reached.values()) >= 30 and min(reached.values()) >= 10, reached
-    assert non_binomial >= 3
+        out.append((i, i, cell))
+        out.append((i, character_prime_ideal(i.ring, rng.choice(ass)), cell))
+    return out
+
+
+def test_localize_matches_the_colon_loop():
+    # I_(J) is unique, so one saturation must give what the loop of
+    # colon ladders gives
+    reached = {1: 0, 2: 0}
+    two_embedded = 0
+    for i, j, cell in _localization_inputs():
+        seen = {}
+        want = _localize_loop(i, j, cell, seen)
+        assert localize(i, j, cell).key() == want.key(), (i, j)
+        for case in seen.get("cases", ()):
+            reached[case] += 1
+        two_embedded += seen.get("embedded", 0) >= 2
+    assert min(reached.values()) >= 10 and two_embedded >= 5, (reached, two_embedded)
+
+
+def test_localize_scans_and_saturates_once(monkeypatch):
+    calls = {"ass": 0, "sat": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(decompose, "associated_prime_characters",
+                        counted("ass", associated_prime_characters))
+    monkeypatch.setattr(decompose, "saturate_poly", counted("sat", saturate_poly))
+    for i, j, cell in _localization_inputs():
+        calls.update(ass=0, sat=0)
+        localize(i, j, cell)
+        assert calls["ass"] == 1 and calls["sat"] <= 1, (i, j, calls)
 
 
 def test_localize_drops_everything_when_disjoint():
@@ -655,3 +762,49 @@ def test_certificate_fold_does_not_depend_on_input_order():
         for _ in range(shuffles):
             orders.append(rng.sample(comps, len(comps)))
         assert {intersect_all(order, R).key() for order in orders} == {I.key()}
+
+
+def test_hull_and_components_agree_with_the_f25_variety_oracle():
+    # V(hull I) = V(I), and the components' primes cover V(I), on every
+    # point of F_25^2; the brute-force oracle shares no code with localize
+    from f5_oracle import POINTS_25, _mono_value, all_ideal_generating_sets, f25_mul, variety
+
+    F25 = FiniteField(5, 2, (3, 0, 1))  # t^2 = 2, matching the oracle tables
+    R = Ring(F25, ["x", "y"])
+    points = range(len(POINTS_25))
+
+    def zeros(ideal):
+        polys = [
+            [(e, (tuple(c.coeffs) + (0,))[:2]) for e, c in p.terms] for p in ideal.gb().polys
+        ]
+
+        def vanishes(i):
+            for terms in polys:
+                v = (0, 0)
+                for e, c in terms:
+                    w = f25_mul(c, _mono_value(e, i))
+                    v = ((v[0] + w[0]) % 5, (v[1] + w[1]) % 5)
+                if v != (0, 0):
+                    return False
+            return True
+
+        return {i for i in points if vanishes(i)}
+
+    rng = random.Random(18)
+    checked = embedded = 0
+    for gs in rng.sample(all_ideal_generating_sets(), 150):
+        ideal = Ideal(R, [
+            R.monomial(e1, c1) + (R.monomial(e2, c2) if e2 is not None else R.zero)
+            for e1, c1, e2, c2 in gs
+        ])
+        try:
+            comps = primary_decomposition(ideal)
+            h = hull(ideal)
+        except RootNotInField:  # a component needs GF(5^4)
+            continue
+        vi = set(variety(gs, points))
+        assert zeros(h) == vi, gs
+        assert set().union(*(zeros(pc.prime) for pc in comps)) == vi, gs
+        checked += 1
+        embedded += any(pc.embedded for pc in comps)
+    assert checked >= 130 and embedded >= 10, (checked, embedded)
