@@ -18,8 +18,8 @@ from .errors import (
     NotBinomial,
     RootNotInField,
 )
-from .ideals import Ideal, colon_monomial, eliminate, saturation_order
-from .intlattice import Lattice, hnf_with_transform, kernel, transpose
+from .ideals import Ideal, colon_monomial, saturation_order
+from .intlattice import Lattice, hnf_with_transform, kernel, mat_mul, transpose
 from .poly import render_poly
 from .scalars import factorint, p_part, scalar_key, unit_decompose
 
@@ -55,8 +55,8 @@ class PartialCharacter:
         self.lattice = lattice
         self.values = tuple(values)
         self.field = field
-        assert lattice.ambient == len(self.cell)
-        assert len(self.values) == lattice.rank
+        if lattice.ambient != len(self.cell) or len(self.values) != lattice.rank:
+            raise BinomialsError("character needs one value per basis row on its cell")
 
     @classmethod
     def trivial(cls, cell, field):
@@ -143,7 +143,8 @@ def extend_all(rho, sup):
     lat = rho.lattice
     if sup == lat:
         return [rho]
-    assert sup.contains_lattice(lat)
+    if not sup.contains_lattice(lat):
+        raise BinomialsError("extension target does not contain the lattice")
     if lat.rank == 0:
         if sup.rank == 0:
             return [rho]
@@ -290,9 +291,13 @@ def cell_character(gens, cell, field):
     value c on a − b.  Returns None for the unit ideal, when a generator
     becomes a monomial or the values clash on a relation among the vectors.
 
-    `gens` should be a reduced Groebner basis, which is binomial exactly
-    when the ideal is (ES §1); an element left with three or more terms on
-    the cell raises NotBinomial.
+    This is the one place a character is read.  `cell_scan` passes the
+    cached reduced degrevlex basis of the whole ideal, and
+    `character_from_cellular` the same basis of a cellular ideal, where
+    the elements on the cell generate I ∩ k[cell] (proof there).  `gens`
+    should be a reduced Groebner basis, which is binomial exactly when the
+    ideal is (ES §1); an element left with three or more terms on the cell
+    raises NotBinomial.
     """
     cell = tuple(cell)
     inside = set(cell)
@@ -319,12 +324,27 @@ def cell_character(gens, cell, field):
 
 
 def character_from_cellular(i, cell):
-    """The unique rho whose lattice ideal is (I ∩ k[cell] : (∏ cell)^∞).
+    """The unique rho whose lattice ideal is (I ∩ k[cell] : (∏ cell)^∞),
+    read off I's cached reduced degrevlex basis with no elimination.
 
-    Raises MonomialInIdeal when the cell ideal is the unit Laurent ideal.
+    Precondition: I is cellular with respect to the cell Z, or the unit
+    ideal.  Raises MonomialInIdeal when the cell ideal is the unit Laurent
+    ideal.
+
+    Proof that the basis elements lying in k[Z] generate I ∩ k[Z].  Let I be
+    proper and cellular with respect to Z, and G a generating set of
+    binomials and monomials; the reduced basis is one (ES Cor 1.2).  The map
+    φ that sets the off-cell variables to 0 is a ring map onto k[Z] that
+    fixes I ∩ k[Z]: f = Σ h_g·g in I ∩ k[Z] gives f = Σ φ(h_g)·φ(g).  φ(g) is
+    g itself when g lies in k[Z], or 0.  It cannot be a lone term x^a: then
+    x^a ≡ c·x^b with x^b off-cell (c = 0 for a monomial g), so x^(aN) lies in
+    I for large N, and as cell variables are nonzerodivisors modulo I, 1
+    would lie in I.  So G ∩ k[Z] generates I ∩ k[Z], and those are exactly
+    the elements `cell_character` reads.  For the unit ideal the basis is
+    {1} and the reading is None; with the full cell φ is the identity.
     """
     cell = tuple(sorted(cell))
-    rho = cell_character(eliminate(i, cell).gens, cell, i.ring.field)
+    rho = cell_character(i.gb().polys, cell, i.ring.field)
     if rho is None:
         raise MonomialInIdeal("cell ideal contains a monomial in the cell variables")
     return rho
@@ -380,18 +400,11 @@ def relation_lattice(values, field):
 
 def agreement_lattice(sigma, rho):
     """{m in L_sigma ∩ L_rho : sigma(m) = rho(m)}: where the characters agree."""
-    assert sigma.cell == rho.cell
+    if sigma.cell != rho.cell:
+        raise BinomialsError("agreement lattice of characters on different cells")
     l0 = sigma.lattice.intersection(rho.lattice)
     if l0.rank == 0:
         return l0
     ratios = [sigma.value(row) / rho.value(row) for row in l0.basis]
     rel = relation_lattice(ratios, sigma.field)
-    rows = []
-    for a in rel.basis:
-        rows.append(
-            [
-                sum(a[j] * l0.basis[j][i] for j in range(l0.rank))
-                for i in range(l0.ambient)
-            ]
-        )
-    return Lattice(l0.ambient, rows)
+    return Lattice(l0.ambient, mat_mul(rel.basis, l0.basis))

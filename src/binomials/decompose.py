@@ -3,7 +3,9 @@
 The cell scan underlying the radical and minimal-prime computations works
 per coordinate cell Z: substitute the off-cell variables by zero in the
 reduced Groebner basis and read the partial character straight off the
-binomials that remain (ES Thm 2.1), with no Groebner run per cell.
+binomials that remain (ES Thm 2.1), with no Groebner run per cell.  The
+character of a cellular piece and the witness checks of `primary_test` are
+read the same way, off the piece's own reduced basis, with no elimination.
 Decomposition proper runs the witness/standard-monomial machinery on
 cellular pieces, removes embedded primes by one saturation per hull, and
 certifies every output (exact intersection, primary test) before returning
@@ -35,7 +37,6 @@ from .ideals import (
     cell_product,
     cellular_localize,
     colon_monomial,
-    eliminate,
     intersect_all,
     quasi_power_ratio,
     saturate_monomial,
@@ -304,6 +305,12 @@ def primary_test(i, cell=None):
     Returns a PrimaryTestReport.  In the NO case two distinct associated
     primes are reported as witnesses.  Without a cell this is `is_primary`,
     which decides non-cellular input too.
+
+    Each witness colon (I : x^m) is cellular with the same cell, so the
+    elements of its reduced degrevlex basis that involve no off-cell
+    variable generate (I : x^m) ∩ k[cell] (proof at
+    `character_from_cellular`); the test asks the lattice ideal of sigma
+    to contain them, with no elimination run.
     """
     if cell is None:
         return is_primary(i)
@@ -325,8 +332,7 @@ def primary_test(i, cell=None):
         if not any(m):
             continue
         im = colon_monomial(i, ring.monomial(m))
-        em = eliminate(im, cell)
-        if all(sigma_ideal.contains(g) for g in em.gens):
+        if all(sigma_ideal.contains(g) for g in im.gb().polys if not g.involves(off)):
             continue
         rho = p_saturation(character_from_cellular(im, cell))
         _, sats = character_saturations(rho)

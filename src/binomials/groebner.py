@@ -11,9 +11,9 @@ reduced one.
 
 Binomial inputs stay binomial throughout: an S-pair of two binomials has at
 most two terms and every reduction step of a term against a binomial yields
-a term, so the engine asserts (rather than re-derives) that closure as it
-runs.  The general path handles arbitrary term counts for colon/intersection
-workloads.
+a term, so the engine checks (rather than re-derives) that closure as it
+runs and raises BinomialsError if it fails.  The general path handles
+arbitrary term counts for colon/intersection workloads.
 """
 
 from heapq import heapify, heappop
@@ -21,6 +21,7 @@ from itertools import chain, islice
 from operator import itemgetter
 
 from . import checks
+from .errors import BinomialsError
 from .poly import (
     DEGREVLEX,
     Polynomial,
@@ -198,8 +199,8 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None):
         spoly = _merge_sub(tail_i, 0, basis[j][1:], sj, ring.field.one, keyf)
         red = _reduce_prepared(spoly, act_lms, act_terms, keyf)
         if red:
-            if binomial_input:
-                assert len(red) <= 2, "binomial closure violated in Buchberger loop"
+            if binomial_input and len(red) > 2:
+                raise BinomialsError("binomial closure violated in Buchberger loop")
             push_poly(red)
             if not any(red[0][1]):
                 break  # constant: unit ideal, stop early
@@ -217,8 +218,8 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None):
 
     gb = GroebnerBasis(ring, order, keyf, min_polys)
 
-    if binomial_input:
-        assert gb.is_binomial, "reduced GB of a binomial ideal must be binomial"
+    if binomial_input and not gb.is_binomial:
+        raise BinomialsError("reduced GB of a binomial ideal must be binomial")
     if checks.ENABLED:
         _verify_buchberger(gb)
     return gb

@@ -22,14 +22,18 @@ from binomials.characters import (
     relation_lattice,
 )
 from binomials import ideals, intlattice
+from binomials.decompose import cellular_decomposition
 from binomials.errors import InconsistentCharacter, MonomialInIdeal, RootNotInField
 from binomials.ideals import (
     Ideal,
     cell_product,
+    colon_monomial,
+    eliminate,
     intersect_all,
     nonzerodivisor_variables,
     restrict_to_subring,
     saturate_monomial,
+    standard_monomials,
 )
 from binomials.intlattice import Lattice
 from binomials.poly import Ring
@@ -488,3 +492,50 @@ def test_cell_character_matches_saturation():
     x, y = R2.var(0), R2.var(1)
     assert cell_character([x - y, x**2 - 2 * y**2], (0, 1), QQ) is None
     assert cell_character([x - y, x**2 - y**2], (0, 1), QQ) is not None
+
+
+def test_character_from_cellular_matches_elimination():
+    # on a cellular ideal the reduced degrevlex basis and an elimination
+    # basis give the same character, and the basis elements on the cell
+    # generate the same ideal as I ∩ k[cell]; so do the witness colons
+    rng = random.Random(19)
+    cellular = colons = 0
+    for field in (QQ, FiniteField(5), FiniteField(7), CycloField(6)):
+        R = Ring(field, ["x", "y", "z"])
+        one = field.one
+        coeffs = [one, -one, one + one] + ([zeta(6)] if isinstance(field, CycloField) else [])
+        start = cellular
+        while cellular - start < 25:
+            gens = []
+            for _ in range(rng.choice((2, 3))):
+                a = tuple(rng.randrange(3) for _ in range(3))
+                b = tuple(rng.randrange(3) for _ in range(3))
+                gens.append(R.monomial(a) - R.monomial(b, rng.choice(coeffs)))
+            for comp in cellular_decomposition(Ideal(R, gens)):
+                j, cell = comp.ideal, comp.cell
+                off = [v for v in range(3) if v not in cell]
+                stand, _ = standard_monomials(j, off)
+                for m in stand:  # m = 0 is j itself
+                    im = colon_monomial(j, R.monomial(m))
+                    elim = eliminate(im, cell)
+                    want = cell_character(elim.gens, cell, field)
+                    assert character_from_cellular(im, cell).key() == want.key(), (im, cell)
+                    on_cell = [g for g in im.gb().polys if not g.involves(off)]
+                    assert Ideal(R, on_cell) == elim, (im, cell)
+                    colons += 1
+                cellular += 1
+    assert cellular >= 100 and colons > cellular, (cellular, colons)
+
+
+def test_character_from_cellular_runs_no_groebner_basis(monkeypatch):
+    # (x^2, y - z) is cellular on {y, z}: its cached basis is all it reads
+    R = Ring(QQ, ["x", "y", "z"])
+    x, y, z = (R.var(i) for i in range(3))
+    I = Ideal(R, (x**2, y - z))
+    I.gb()
+    runs = []
+    real = ideals.groebner_basis
+    monkeypatch.setattr(ideals, "groebner_basis", lambda *args: runs.append(args) or real(*args))
+    rho = character_from_cellular(I, (1, 2))
+    assert rho.lattice.basis == ((1, -1),) and rho.values == (QQ.one,)
+    assert runs == []

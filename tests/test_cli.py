@@ -111,6 +111,13 @@ def test_all_commands_run():
     assert "4 circuits" in out
 
 
+def test_circuits_read_the_reduced_basis():
+    # x + y - 2*z is no binomial; the reduced basis of the ideal is
+    out = run("ring QQ[x,y,z]; ideal I = x - z, x + y - 2*z; circuits I;")
+    assert "3 circuits:\n  (1, -1, 0)\n  (1, 0, -1)\n  (0, 1, -1)\n" in out
+    assert "circuit ideal = y - z, x - z" in out
+
+
 def test_isprimary_nested_powers():
     out = run("ring QQ[x0,x1,x2,x3]; "
               "ideal K = x1^2, x1*x3-x2^2, x2*x3-x0^2; isprimary K;")

@@ -135,6 +135,12 @@ def test_broken_invariants_raise_typed_errors(monkeypatch, coupled_differences):
         patch.setattr(decompose, "intersect_all", lambda pieces, ring: Ideal(ring, (x**2 + x + 1,)))
         with pytest.raises(BinomialsError, match="radical of a binomial ideal"):
             radical(coupled_differences)
+    with pytest.raises(BinomialsError, match="one value per basis row"):
+        PartialCharacter((0,), Lattice(1, [[2]]), (), R.field)
+    with pytest.raises(BinomialsError, match="different cells"):
+        agreement_lattice(rho, PartialCharacter.from_generators((1,), [[2]], [R.field.one], R.field))
+    with pytest.raises(BinomialsError, match="does not contain the lattice"):
+        characters.extend_all(rho, Lattice(1, [[3]]))
 
 
 def test_radical_frobenius():
@@ -766,8 +772,16 @@ def test_certificate_fold_does_not_depend_on_input_order():
 
 def test_hull_and_components_agree_with_the_f25_variety_oracle():
     # V(hull I) = V(I), and the components' primes cover V(I), on every
-    # point of F_25^2; the brute-force oracle shares no code with localize
-    from f5_oracle import POINTS_25, _mono_value, all_ideal_generating_sets, f25_mul, variety
+    # point of F_25^2; the brute-force oracle shares no code with localize.
+    # Pairs of generators, then triples.
+    from f5_oracle import (
+        POINTS_25,
+        _mono_value,
+        all_generators,
+        all_ideal_generating_sets,
+        f25_mul,
+        variety,
+    )
 
     F25 = FiniteField(5, 2, (3, 0, 1))  # t^2 = 2, matching the oracle tables
     R = Ring(F25, ["x", "y"])
@@ -790,21 +804,27 @@ def test_hull_and_components_agree_with_the_f25_variety_oracle():
 
         return {i for i in points if vanishes(i)}
 
+    def check(sets):
+        checked = embedded = 0
+        for gs in sets:
+            ideal = Ideal(R, [
+                R.monomial(e1, c1) + (R.monomial(e2, c2) if e2 is not None else R.zero)
+                for e1, c1, e2, c2 in gs
+            ])
+            try:
+                comps = primary_decomposition(ideal)
+                h = hull(ideal)
+            except RootNotInField:  # a component needs GF(5^4)
+                continue
+            vi = set(variety(gs, points))
+            assert zeros(h) == vi, gs
+            assert set().union(*(zeros(pc.prime) for pc in comps)) == vi, gs
+            checked += 1
+            embedded += any(pc.embedded for pc in comps)
+        return checked, embedded
+
     rng = random.Random(18)
-    checked = embedded = 0
-    for gs in rng.sample(all_ideal_generating_sets(), 150):
-        ideal = Ideal(R, [
-            R.monomial(e1, c1) + (R.monomial(e2, c2) if e2 is not None else R.zero)
-            for e1, c1, e2, c2 in gs
-        ])
-        try:
-            comps = primary_decomposition(ideal)
-            h = hull(ideal)
-        except RootNotInField:  # a component needs GF(5^4)
-            continue
-        vi = set(variety(gs, points))
-        assert zeros(h) == vi, gs
-        assert set().union(*(zeros(pc.prime) for pc in comps)) == vi, gs
-        checked += 1
-        embedded += any(pc.embedded for pc in comps)
+    checked, embedded = check(rng.sample(all_ideal_generating_sets(), 150))
     assert checked >= 130 and embedded >= 10, (checked, embedded)
+    checked, embedded = check([rng.sample(all_generators(), 3) for _ in range(60)])
+    assert checked >= 55 and embedded >= 1, (checked, embedded)

@@ -7,9 +7,10 @@ longer exists, so renaming or deleting one breaks `run.py --trace 1`.
 The CLI gives the same output under `python -O`, and the same bytes as
 recorded in `reference_digests.json` (`--json`) and
 `reference_text_digests.json` (the plain-text report) for every benchmark
-session.
+session.  No new plain `assert` enters the engine.
 """
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -125,3 +126,51 @@ def test_large_exponent_ladder_gives_the_closed_forms(tmp_path, capsys):
 
     assert components(radical) == [sorted(reference.ladder_radical(200))]
     assert components(minprimes) == sorted(sorted(p) for p in reference.ladder_primes(200))
+
+
+ENGINE = SPANS.parents[1] / "src" / "binomials"
+# the plain asserts left in the engine, by their tested expression: internal
+# invariants of lattice and cyclotomic arithmetic that no input reaches
+ASSERT_ALLOWLIST = {
+    "intlattice.py": ["other.ambient == self.ambient", "other.ambient == self.ambient",
+                      "sup.contains_lattice(self)"],
+    "scalars.py": ["m % n == 0", "not any(rem)"],
+}
+
+
+def _reads_checks_flag(test):
+    return any(
+        isinstance(n, ast.Attribute) and n.attr == "ENABLED"
+        and isinstance(n.value, ast.Name) and n.value.id == "checks"
+        for n in ast.walk(test)
+    )
+
+
+def _plain_asserts(node, exempt=False):
+    """Tested expressions of the asserts outside an `if` on checks.ENABLED
+    and outside `_verify_buchberger`, both of which only run when checks are
+    enabled."""
+    if isinstance(node, ast.Assert) and not exempt:
+        yield ast.unparse(node.test)
+    if isinstance(node, ast.FunctionDef) and node.name == "_verify_buchberger":
+        exempt = True
+    if isinstance(node, ast.If):
+        yield from _plain_asserts(node.test, exempt)
+        for child in node.body:
+            yield from _plain_asserts(child, exempt or _reads_checks_flag(node.test))
+        for child in node.orelse:
+            yield from _plain_asserts(child, exempt)
+        return
+    for child in ast.iter_child_nodes(node):
+        yield from _plain_asserts(child, exempt)
+
+
+def test_no_new_plain_asserts_in_the_engine():
+    """`python -O` strips plain asserts, so an invariant that input can
+    reach raises a typed error instead."""
+    found = {}
+    for path in sorted(ENGINE.glob("*.py")):
+        asserts = sorted(_plain_asserts(ast.parse(path.read_text())))
+        if asserts:
+            found[path.name] = asserts
+    assert found == ASSERT_ALLOWLIST
