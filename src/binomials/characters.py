@@ -187,22 +187,15 @@ def p_saturation(rho):
 
 
 def character_saturations(rho):
-    """(rho_p, saturations): the p-part extension and the saturation fan.
-
-    rho_p is the unique extension to Sat_p(L); the saturations are the g
-    distinct extensions to Sat'_p(L) pushed uniquely up to Sat(L).
-    """
-    p = rho.field.char
-    sat_p, sat_pp, g = rho.lattice.p_saturations(p)
-    rho_p = rho if sat_p == rho.lattice else extend_unique(rho, sat_p)
+    """The saturation fan: the g distinct extensions of rho to Sat'_p(L),
+    each pushed uniquely up to Sat(L).  The p-part extension is
+    `p_saturation`."""
+    _, sat_pp, g = rho.lattice.p_saturations(rho.field.char)
     sat_full = rho.lattice.saturation()
     partials = extend_all(rho, sat_pp)
     if len(partials) != g:
         raise BinomialsError(f"expected {g} extensions to Sat'_p(L), found {len(partials)}")
-    full = [
-        e if e.lattice == sat_full else extend_unique(e, sat_full) for e in partials
-    ]
-    return rho_p, full
+    return [e if e.lattice == sat_full else extend_unique(e, sat_full) for e in partials]
 
 
 def laurent_primary_decomposition(rho):
@@ -212,10 +205,10 @@ def laurent_primary_decomposition(rho):
     of the primary components I(rho_j) on Sat'_p), 'associated_primes'
     (saturated characters rho'_j), and 'multiplicity' |Sat_p(L)/L|.
     """
-    rho_p, primes = character_saturations(rho)
+    primes = character_saturations(rho)
     _, sat_pp, _ = rho.lattice.p_saturations(rho.field.char)
     return {
-        "radical": rho_p,
+        "radical": p_saturation(rho),
         # rho_j is the restriction of its unique extension rho'_j
         "components": [s.restricted(sat_pp) for s in primes],
         "associated_primes": primes,
@@ -250,7 +243,7 @@ def ideal_from_character(ring, rho):
 
     From rank 2 on, only the free variables need saturating.  The HNF basis
     is row echelon with positive pivots; call a cell variable free if no
-    row has its pivot in that variable's column.  Then
+    row has its pivot in that variable's column (`free_variables`).  Then
     J : (∏ cell)^∞ = J : (∏ free)^∞.
 
     Proof.  Let J' = J : (∏ free)^∞; every free variable is a
@@ -259,7 +252,9 @@ def ideal_from_character(ring, rho):
     those are free or pivots of later rows, so nonzerodivisors modulo J' by
     induction.  So x_{p_i}·f ∈ J' gives c·m₂·f ∈ J', hence f ∈ J'.  With
     every cell variable a nonzerodivisor, J' is saturated by the cell, and
-    J ⊆ J' ⊆ J : (∏ cell)^∞ gives equality.
+    J ⊆ J' ⊆ J : (∏ cell)^∞ gives equality.  The proof uses only that J'
+    holds the row binomials, so K : (∏ cell)^∞ = K : (∏ free)^∞ for every
+    ideal K that contains them.
 
     Full rank is the case with no free variable, where J itself is
     saturated.  Each free x_v is saturated on the colon tree with no
@@ -272,14 +267,20 @@ def ideal_from_character(ring, rho):
     ]
     out = Ideal(ring, gens)
     if rho.rank >= 2:
-        pivots = {next(j for j, x in enumerate(row) if x) for row in rho.lattice.basis}
-        for j, v in enumerate(rho.cell):
-            if j not in pivots:
-                out = colon_monomial(out, ring.var(v) ** saturation_order(out, v))
+        for v in free_variables(rho):
+            out = colon_monomial(out, ring.var(v) ** saturation_order(out, v))
     if checks.ENABLED:
         back = character_from_cellular(out, rho.cell)
         assert back == rho, "character round trip failed"
     return out
+
+
+def free_variables(rho):
+    """The cell variables x_v whose column holds no pivot of the Hermite
+    basis of rho's lattice: the only ones a lattice ideal on the cell needs
+    saturating at (proof at `ideal_from_character`)."""
+    pivots = {next(j for j, x in enumerate(row) if x) for row in rho.lattice.basis}
+    return [v for j, v in enumerate(rho.cell) if j not in pivots]
 
 
 def cell_character(gens, cell, field):

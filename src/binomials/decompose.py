@@ -9,7 +9,9 @@ read the same way, off the piece's own reduced basis, with no elimination.
 Decomposition proper runs the witness/standard-monomial machinery on
 cellular pieces, removes embedded primes by one saturation per hull, and
 certifies every output (exact intersection, primary test) before returning
-it.  The witness colons (I : x^m), one per standard monomial m, all come
+it.  The piece at each associated prime starts from one formula in every
+characteristic, the prime's basis binomials (Frobenius-powered in char p),
+saturated only at its free variables and not at all at full rank.  The witness colons (I : x^m), one per standard monomial m, all come
 from `colon_monomial`, whose tree stays on the `Ideal`: when a hull's
 associated-prime scan finds no embedded prime, the primary test that
 certifies it reuses that scan's colons.
@@ -27,6 +29,7 @@ from .characters import (
     character_from_cellular,
     character_prime_ideal,
     character_saturations,
+    free_variables,
     ideal_from_character,
     lattice_binomial,
     p_saturation,
@@ -46,7 +49,6 @@ from .ideals import (
     nonzerodivisor_variables,
 )
 from .intlattice import Lattice
-from .poly import Polynomial
 from .scalars import scalar_order
 
 
@@ -99,35 +101,17 @@ class PrimaryTestReport:
 
 
 def cell_scan(i):
-    """All proper cells of I with their characters, as (cell, rho) pairs.
-
-    Largest cells first.  The proper cells form a meet semilattice, so a
-    cell whose intersection with a known proper cell is known empty is
-    skipped without reading its character.
-    """
+    """All proper cells of I with their characters, as (cell, rho) pairs,
+    largest cells first."""
     ring = i.ring
     n = ring.nvars
     gens = i.gb().polys
-    unit_cells = set()
-    proper_cells = []
     out = []
     for size in range(n, -1, -1):
         for cell in combinations(range(n), size):
-            cs = frozenset(cell)
-            pruned = False
-            for z2 in proper_cells:
-                if (cs & z2) in unit_cells:
-                    pruned = True
-                    break
-            if pruned:
-                unit_cells.add(cs)
-                continue
             rho = cell_character(gens, cell, ring.field)
-            if rho is None:
-                unit_cells.add(cs)
-                continue
-            proper_cells.append(cs)
-            out.append((cell, rho))
+            if rho is not None:
+                out.append((cell, rho))
     return out
 
 
@@ -164,9 +148,7 @@ def minimal_prime_entries(i):
         return [(full, PartialCharacter.trivial(full, ring.field), i.canonical())]
     entries = []
     for cell, rho in cell_scan(i):
-        rho_p = p_saturation(rho)
-        _, sats = character_saturations(rho_p)
-        for s in sats:
+        for s in character_saturations(p_saturation(rho)):
             entries.append((cell, s))
     seen = {}
     for cell, s in entries:
@@ -320,7 +302,7 @@ def primary_test(i, cell=None):
     sigma = p_saturation(character_from_cellular(i, cell))
     rad = character_prime_ideal(ring, sigma)
     if not sigma.is_saturated():
-        _, sats = character_saturations(sigma)
+        sats = character_saturations(sigma)
         w1 = character_prime_ideal(ring, sats[0])
         w2 = character_prime_ideal(ring, sats[1])
         return PrimaryTestReport(
@@ -335,8 +317,7 @@ def primary_test(i, cell=None):
         if all(sigma_ideal.contains(g) for g in im.gb().polys if not g.involves(off)):
             continue
         rho = p_saturation(character_from_cellular(im, cell))
-        _, sats = character_saturations(rho)
-        w2 = character_prime_ideal(ring, sats[0])
+        w2 = character_prime_ideal(ring, character_saturations(rho)[0])
         return PrimaryTestReport(
             False,
             rad,
@@ -378,8 +359,7 @@ def associated_prime_characters(i, cell):
         taus.setdefault(tau.key(), tau)
     primes = {}
     for tau in taus.values():
-        _, sats = character_saturations(tau)
-        for s in sats:
+        for s in character_saturations(tau):
             primes.setdefault(s.key(), s)
     out = sorted(primes.values(), key=_char_sort_key)
     return out
@@ -424,8 +404,7 @@ def localize(i, j, cell):
     ring = i.ring
     cell = tuple(sorted(cell))
     sigma = p_saturation(character_from_cellular(j, cell))
-    _, min_sats = character_saturations(sigma)
-    min_primes = [character_prime_ideal(ring, s) for s in min_sats]
+    min_primes = [character_prime_ideal(ring, s) for s in character_saturations(sigma)]
     cur = i.canonical()
     if cur.is_unit():
         return cur
@@ -493,6 +472,11 @@ def hull(i):
     intersected.  Each piece is checked binomial in `localize`; whether
     their intersection, the non-cellular hull, is binomial is an open
     question in general, so it is not assumed.
+
+    Every minimal prime P on a cell Z finds the piece on Z.  The pieces
+    intersect to I, so by prime avoidance P holds one of them, C; P is then
+    minimal over C, and every prime minimal over a cellular ideal lies on
+    its cell.
     """
     cellular_ok, cell = is_cellular(i)
     if cellular_ok:
@@ -503,7 +487,7 @@ def hull(i):
     for pcell, s, p_ideal in minimal_prime_entries(i):
         comp = by_cell.get(tuple(pcell))
         if comp is None:
-            continue
+            raise BinomialsError("a minimal prime has no cellular piece on its cell")
         pieces.append(localize(comp.ideal, p_ideal, comp.cell))
     return intersect_all(pieces, i.ring)
 
@@ -512,28 +496,48 @@ def hull(i):
 # primary decomposition
 
 
-def _frobenius_power(p_ideal, q):
-    ring = p_ideal.ring
-    gens = []
-    for g in p_ideal.gens:
-        terms = {tuple(q * x for x in e): c**q for e, c in g.terms}
-        gens.append(Polynomial.from_dict(ring, terms))
-    return Ideal(ring, gens)
+def _component_hull(j, cell, s, q):
+    """The piece of the Z-cellular J at the associated prime P_s (ES §7):
+    Hull((J + I(s)) : (∏ Z)^∞) in char 0, where q = 1, and
+    Hull((J + P_s^[q]) : (∏ Z)^∞) in char p, for q a power of p.
 
+    Both are built from K = J + B_s^[q], where B_s are the Hermite basis
+    binomials of s, plus x_v^q for each off-cell v in char p, and then
+    r = K : (∏ free)^∞ over the free variables of s (`free_variables`).
 
-def _component_hull(j, cell, extra):
-    """Hull of ((J + extra) : (∏ cell)^∞), the piece of J at one prime."""
+    1. I(s) = (B_s) : (∏ Z)^∞ (`ideal_from_character`), so
+       (J + I(s)) : (∏ Z)^∞ = (J + B_s) : (∏ Z)^∞.
+    2. In char p Frobenius is a ring map, so P^[q] is generated by the
+       q-th powers of any generating set of P, here the off-cell
+       variables and a generating set of I(s).  For f in I(s) some cell
+       monomial m has m·f in (B_s), so m^q·f^q lies in (B_s^[q]).  Hence
+       (J + P_s^[q]) : (∏ Z)^∞ = (J + M^[q] + B_s^[q]) : (∏ Z)^∞, with M
+       the ideal of the off-cell variables.
+    3. B_s^[q] are the Hermite basis binomials of q·L_s, valued s^q,
+       and q·L_s has the pivots of L_s.  The free-variable lemma at
+       `ideal_from_character` gives K : (∏ Z)^∞ = K : (∏ free)^∞, so a
+       full-rank s needs no saturation at all.
+    """
     ring = j.ring
-    r = saturate_monomial(Ideal(ring, j.gens + extra.gens), cell_product(ring, cell))
+    gens = [
+        lattice_binomial(ring, s.cell, [q * x for x in row], val**q)
+        for row, val in zip(s.lattice.basis, s.values)
+    ]
+    if ring.field.char:
+        gens += [ring.var(v) ** q for v in range(ring.nvars) if v not in cell]
+    r = Ideal(ring, j.gens + tuple(gens))
+    free = free_variables(s)
+    if free:
+        r = saturate_monomial(r, cell_product(ring, free))
     return localize(r, r, cell)
 
 
 def _cellular_primary_components(comp):
     """Primary components of one cellular piece as (character, ideal) pairs.
 
-    In char 0 the component at the prime of s is the hull of J + I(s); in
-    char p, J + P^[q] with the Frobenius exponent q escalating until the
-    intersection identity holds.
+    The component at the prime of s is `_component_hull` with q = 1 in
+    char 0; in char p the Frobenius exponent q = p^e escalates until the
+    components intersect to J.
     """
     j = comp.ideal
     ring = j.ring
@@ -541,16 +545,9 @@ def _cellular_primary_components(comp):
     ass = associated_prime_characters(j, cell)
     p = ring.field.char
     if p == 0:
-        out = []
-        for s in ass:
-            k_s = ideal_from_character(ring, s)
-            out.append((s, _component_hull(j, cell, k_s)))
-        return out
+        return [(s, _component_hull(j, cell, s, 1)) for s in ass]
     for e in range(1, MAX_ESCALATION + 1):
-        out = []
-        for s in ass:
-            frob = _frobenius_power(character_prime_ideal(ring, s), p**e)
-            out.append((s, _component_hull(j, cell, frob)))
+        out = [(s, _component_hull(j, cell, s, p**e)) for s in ass]
         if intersect_all([qq for _, qq in out], ring) == j:
             return out
     raise EscalationLimit("Frobenius exponent escalation exceeded bound")
@@ -583,7 +580,11 @@ def primary_decomposition(i):
 
 def _primary_candidates(i):
     """Primary components of the cellular pieces, one per prime, ordered and
-    flagged minimal or embedded; redundant ones are still among them."""
+    flagged minimal or embedded; redundant ones are still among them.
+
+    A prime fixes its cell (x_v lies in it exactly when v is off the cell),
+    distinct saturated characters on one cell give distinct primes (ES Thm
+    2.1), and each piece's characters are distinct, so no prime recurs."""
     ring = i.ring
     cellular_ok, cell = is_cellular(i)
     if cellular_ok:
@@ -594,23 +595,7 @@ def _primary_candidates(i):
     for comp in cells:
         for s, q_s in _cellular_primary_components(comp):
             raw.append(PrimaryComponent(q_s, character_prime_ideal(ring, s), s, comp.cell))
-    # deduplicate primes across cells (distinct cells have disjoint
-    # associated primes, but non-associated extras can recur)
-    by_prime = {}
-    for pc in raw:
-        key = pc.prime.key()
-        if key in by_prime:
-            prev = by_prime[key]
-            if pc.ideal.contains(prev.ideal):
-                continue
-            if prev.ideal.contains(pc.ideal):
-                by_prime[key] = pc
-                continue
-            merged = intersect_all([prev.ideal, pc.ideal], ring)
-            by_prime[key] = PrimaryComponent(merged, prev.prime, prev.char, prev.cell)
-        else:
-            by_prime[key] = pc
-    comps = sorted(by_prime.values(), key=lambda pc: _char_sort_key(pc.char))
+    comps = sorted(raw, key=lambda pc: _char_sort_key(pc.char))
     for pc in comps:
         pc.embedded = any(other is not pc and _prime_below(pc, other) for other in comps)
     return comps

@@ -287,7 +287,8 @@ def saturation_order(i, v):
 
     This is the largest x_v-order in the revlex basis of I^h with x_v last:
     its leading monomials minimally generate the initial ideal, so no
-    smaller k clears x_v from all of them.  It has no bound."""
+    smaller k clears x_v from all of them.  It has no bound, and it is 0
+    exactly when x_v is a nonzerodivisor modulo I."""
     return max((_order_in(g, v) for g in revlex_basis(homogenize(i), v)), default=0)
 
 
@@ -354,13 +355,6 @@ def _colon_node(i, e):
     return got
 
 
-def _zerodivisor(h, v):
-    """Whether x_v is a zerodivisor modulo the ideal whose homogenization is
-    h: (I : x_v) != I exactly when x_v divides an element of the revlex basis
-    with x_v last."""
-    return any(_order_in(g, v) for g in revlex_basis(h, v))
-
-
 def _monomial_exponent(m):
     if len(m.terms) != 1:
         raise ValueError(f"{render_poly(m)} is not a monomial")
@@ -416,8 +410,7 @@ def check_nonzerodivisor_lead(i, b):
     """Verify the quasi-power colon precondition exactly: (I : x^a) = I,
     i.e. no variable of x^a is a zerodivisor modulo I."""
     xa = _leading_monomial_poly(b, i.ring)
-    h = homogenize(i)
-    if any(_zerodivisor(h, v) for v, x in enumerate(xa.terms[0][0]) if x):
+    if any(saturation_order(i, v) for v, x in enumerate(xa.terms[0][0]) if x):
         raise NonzerodivisorViolated(
             f"leading monomial {render_poly(xa)} is a zerodivisor mod the ideal"
         )
@@ -499,9 +492,8 @@ def cellular_localize(i, cell, exps):
 
 
 def nonzerodivisor_variables(i):
-    """Indices v with (I : x_v) = I."""
-    h = homogenize(i)
-    return tuple(v for v in range(i.ring.nvars) if not _zerodivisor(h, v))
+    """Indices v with (I : x_v) = I, those with saturation order 0."""
+    return tuple(v for v in range(i.ring.nvars) if not saturation_order(i, v))
 
 
 # ---------------------------------------------------------------------------

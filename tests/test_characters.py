@@ -19,6 +19,7 @@ from binomials.characters import (
     ideal_from_character,
     laurent_multiplicity,
     laurent_primary_decomposition,
+    p_saturation,
     relation_lattice,
 )
 from binomials import ideals, intlattice
@@ -272,18 +273,18 @@ def test_character_well_definedness_check():
 
 def test_character_saturations_char0():
     rho = PartialCharacter((0,), Lattice(1, [[2]]), (Fraction(1),), QQ)
-    rho_p, sats = character_saturations(rho)
+    rho_p, sats = p_saturation(rho), character_saturations(rho)
     assert rho_p == rho  # Sat_0(L) = L
     assert {s.values[0] for s in sats} == {Fraction(1), Fraction(-1)}
     # saturated character: extensions are itself
     sat = PartialCharacter((0,), Lattice(1, [[1]]), (Fraction(5),), QQ)
-    assert character_saturations(sat)[1] == [sat]
+    assert character_saturations(sat) == [sat]
 
 
 def test_character_saturations_char2():
     F2 = FiniteField(2)
     rho = PartialCharacter((0,), Lattice(1, [[2]]), (F2.one,), F2)
-    rho_p, sats = character_saturations(rho)
+    rho_p, sats = p_saturation(rho), character_saturations(rho)
     assert rho_p.lattice == Lattice.full(1) and rho_p.values[0] == F2.one
     assert len(sats) == 1
 
@@ -401,8 +402,8 @@ def test_agreement_lattice():
 
 def test_extension_enumeration_deterministic():
     rho = PartialCharacter((0,), Lattice(1, [[3]]), (Fraction(1),), QQ)
-    _, sats_a = character_saturations(rho)
-    _, sats_b = character_saturations(rho)
+    sats_a = character_saturations(rho)
+    sats_b = character_saturations(rho)
     assert [s.key() for s in sats_a] == [s.key() for s in sats_b]
     assert sats_a[0].values[0] == 1  # first extension picks the trivial root
     assert all(s.values[0] ** 3 == 1 for s in sats_a)

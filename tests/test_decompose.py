@@ -17,6 +17,7 @@ from binomials.characters import (
 from binomials.decompose import (
     _cell_below,
     _cellular_pieces,
+    _component_hull,
     _prime_below,
     _primary_candidates,
     _prune_redundant,
@@ -48,7 +49,7 @@ from binomials.ideals import (
     saturate_poly,
 )
 from binomials.intlattice import Lattice
-from binomials.poly import Ring
+from binomials.poly import Polynomial, Ring
 from binomials.scalars import QQ, CycloField, FiniteField, p_part, zeta
 
 
@@ -141,6 +142,10 @@ def test_broken_invariants_raise_typed_errors(monkeypatch, coupled_differences):
         agreement_lattice(rho, PartialCharacter.from_generators((1,), [[2]], [R.field.one], R.field))
     with pytest.raises(BinomialsError, match="does not contain the lattice"):
         characters.extend_all(rho, Lattice(1, [[3]]))
+    with monkeypatch.context() as patch:
+        patch.setattr(decompose, "cellular_decomposition", lambda i: [])
+        with pytest.raises(BinomialsError, match="no cellular piece"):
+            hull(coupled_differences)
 
 
 def test_radical_frobenius():
@@ -368,8 +373,7 @@ def _localize_loop(i, j, cell, seen):
     cases taken and the embedded primes of the first round."""
     ring = i.ring
     sigma = p_saturation(character_from_cellular(j, cell))
-    _, min_sats = character_saturations(sigma)
-    min_primes = [character_prime_ideal(ring, s) for s in min_sats]
+    min_primes = [character_prime_ideal(ring, s) for s in character_saturations(sigma)]
     cur = i.canonical()
     for _ in range(200):
         if cur.is_unit():
@@ -491,6 +495,83 @@ def test_localize_scans_and_saturates_once(monkeypatch):
         calls.update(ass=0, sat=0)
         localize(i, j, cell)
         assert calls["ass"] == 1 and calls["sat"] <= 1, (i, j, calls)
+
+
+def _frobenius_power(p_ideal, q):
+    """P^[q], generated by the q-th powers of P's generators, each taken
+    term by term as Frobenius does in char p."""
+    ring = p_ideal.ring
+    return Ideal(ring, [
+        Polynomial.from_dict(ring, {tuple(q * x for x in e): c**q for e, c in g.terms})
+        for g in p_ideal.gens
+    ])
+
+
+def _component_hull_by_cell_saturation(j, cell, s, q):
+    """Reference for `_component_hull`: the hull of J + I(s) in char 0, of
+    J + P_s^[q] in char p, each saturated by the whole cell product."""
+    ring = j.ring
+    if q == 1:
+        extra = ideal_from_character(ring, s)
+    else:
+        extra = _frobenius_power(character_prime_ideal(ring, s), q)
+    r = saturate_monomial(Ideal(ring, j.gens + extra.gens), cell_product(ring, cell))
+    return localize(r, r, cell)
+
+
+def _hull_inputs(seed, count):
+    """Seeded (J, cell, s, q): J cellular, s an associated prime of J, and q
+    = 1 in char 0, q in {p, p^2} in char p."""
+    rng = random.Random(seed)
+    out = []
+    for make in [_cellular_with_embedded_primes] * (3 * count) + [_cellular_with_split_minimal_primes] * count:
+        j, cell = make(rng)
+        if j.is_unit():
+            continue
+        try:
+            ass = associated_prime_characters(j, cell)
+        except (RootNotInField, RootNotCyclotomic):  # the field lacks a root it needs
+            continue
+        p = j.ring.field.char
+        out.extend((j, cell, s, q) for s in ass for q in ((p, p * p) if p else (1,)))
+    return out
+
+
+def _rank_class(s):
+    return "zero" if s.rank == 0 else "full" if s.rank == len(s.cell) else "partial"
+
+
+def test_component_hull_matches_the_cell_saturation():
+    # one formula in every characteristic: basis binomials, Frobenius-powered
+    # in char p, saturated only at the free variables
+    reached = {}
+    for j, cell, s, q in _hull_inputs(9, 20):
+        want = _component_hull_by_cell_saturation(j, cell, s, q)
+        assert _component_hull(j, cell, s, q).key() == want.key(), (j, s, q)
+        cls = (_rank_class(s), q > 1)
+        reached[cls] = reached.get(cls, 0) + 1
+    assert len(reached) == 6 and min(reached.values()) >= 10, reached
+
+
+def test_component_hull_saturates_only_at_free_variables(monkeypatch):
+    # a full-rank character needs no saturation before the hull's localize,
+    # any other one saturation by the product of its free variables
+    from binomials import ideals
+
+    saturated = []
+    real = ideals.saturate_poly
+    monkeypatch.setattr(ideals, "saturate_poly", lambda i, f: saturated.append(f) or real(i, f))
+    monkeypatch.setattr(decompose, "localize", lambda i, j, cell: i)
+    reached = {}
+    for j, cell, s, q in _hull_inputs(9, 5):
+        saturated.clear()
+        _component_hull(j, cell, s, q)
+        pivots = {s.cell[next(k for k, x in enumerate(row) if x)] for row in s.lattice.basis}
+        free = [v for v in s.cell if v not in pivots]
+        assert (not free) == (_rank_class(s) == "full")
+        assert saturated == ([cell_product(j.ring, free)] if free else []), (j, s, q)
+        reached[_rank_class(s)] = reached.get(_rank_class(s), 0) + 1
+    assert min(reached.values()) >= 5 and len(reached) == 3, reached
 
 
 def test_localize_drops_everything_when_disjoint():
