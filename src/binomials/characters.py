@@ -18,7 +18,7 @@ from .errors import (
     NotBinomial,
     RootNotInField,
 )
-from .ideals import Ideal, colon_monomial, saturation_order
+from .ideals import Ideal, cell_product, saturate_monomial
 from .intlattice import Lattice, hnf_with_transform, kernel, mat_mul, transpose
 from .poly import render_poly
 from .scalars import factorint, p_part, scalar_key, unit_decompose
@@ -257,9 +257,8 @@ def ideal_from_character(ring, rho):
     ideal K that contains them.
 
     Full rank is the case with no free variable, where J itself is
-    saturated.  Each free x_v is saturated on the colon tree with no
-    auxiliary variable: (J : x_v^∞) = (J : x_v^k) for k its largest order
-    in the revlex basis of J^h with x_v last (Bayer–Stillman).
+    saturated.  The free variables are saturated by `saturate_monomial`, on
+    the colon tree with no auxiliary variable.
     """
     gens = [
         lattice_binomial(ring, rho.cell, row, val)
@@ -267,8 +266,7 @@ def ideal_from_character(ring, rho):
     ]
     out = Ideal(ring, gens)
     if rho.rank >= 2:
-        for v in free_variables(rho):
-            out = colon_monomial(out, ring.var(v) ** saturation_order(out, v))
+        out = saturate_monomial(out, cell_product(ring, free_variables(rho)))
     if checks.ENABLED:
         back = character_from_cellular(out, rho.cell)
         assert back == rho, "character round trip failed"

@@ -11,8 +11,13 @@ cellular pieces, removes embedded primes by one saturation per hull, and
 certifies every output (exact intersection, primary test) before returning
 it.  The piece at each associated prime starts from one formula in every
 characteristic, the prime's basis binomials (Frobenius-powered in char p),
-saturated only at its free variables and not at all at full rank.  The witness colons (I : x^m), one per standard monomial m, all come
-from `colon_monomial`, whose tree stays on the `Ideal`: when a hull's
+saturated only at its free variables and not at all at full rank.
+
+Every saturation at a monomial, the cellular pieces' and the components',
+is `saturate_monomial` on the colon tree; only `localize` saturates through
+an auxiliary variable, by a product of non-monomial polynomials.  The
+witness colons (I : x^m), one per standard monomial m, all come from
+`colon_monomial`, whose tree stays on the `Ideal`: when a hull's
 associated-prime scan finds no embedded prime, the primary test that
 certifies it reuses that scan's colons.
 """
@@ -504,6 +509,8 @@ def _component_hull(j, cell, s, q):
     Both are built from K = J + B_s^[q], where B_s are the Hermite basis
     binomials of s, plus x_v^q for each off-cell v in char p, and then
     r = K : (∏ free)^∞ over the free variables of s (`free_variables`).
+    When nothing was added (rank 0, in char 0 or on a cell of all the
+    variables), K is J, which is Z-cellular and so already saturated.
 
     1. I(s) = (B_s) : (∏ Z)^∞ (`ideal_from_character`), so
        (J + I(s)) : (∏ Z)^∞ = (J + B_s) : (∏ Z)^∞.
@@ -527,7 +534,7 @@ def _component_hull(j, cell, s, q):
         gens += [ring.var(v) ** q for v in range(ring.nvars) if v not in cell]
     r = Ideal(ring, j.gens + tuple(gens))
     free = free_variables(s)
-    if free:
+    if free and gens:
         r = saturate_monomial(r, cell_product(ring, free))
     return localize(r, r, cell)
 

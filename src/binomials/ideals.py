@@ -1,28 +1,24 @@
 """Ideal-level constructions: elimination, colon, saturation, intersection,
 homogenization, quasi-powers, cellular localization.
 
-Intersection and `saturate_poly` go through one helper that appends a fresh
-auxiliary variable, which keeps each a single elimination Groebner run;
-`intersect_all` folds smallest basis first.  Monomial colons use none: by
+Monomial colons and saturations use no auxiliary variable: by
 Bayer–Stillman, (J : x_v^k) for homogeneous J is read off the degrevlex
 basis with x_v compared last, so they run on the homogenization of the
 ideal, where a binomial stays a binomial.  An `Ideal` keeps its
 homogenization I^h and the tree of colons (I^h : x^e) built on it, so
 `colon_monomial`, the one entry point for (I : x^e), computes each node once
 per object.  The same basis gives `saturation_order`, the k with
-(I : x_v^k) = (I : x_v^∞), so a saturation at one variable is one colon;
-lattice ideals are saturated that way, at their free variables.  The
-auxiliary variable stays for saturations by a product of variables, where
-it is faster, and by the product of quasi-power ratios and binomials with
-which `localize` removes embedded primes.  Binomiality of results is checked
+(I : x_v^k) = (I : x_v^∞), so `saturate_monomial`, the one saturation at a
+monomial, is one colon per variable of the monomial.  The auxiliary variable
+t serves only what leaves monomials: `intersect`, one elimination run on
+t·I + (1−t)·J (`intersect_all` folds smallest basis first), and
+`saturate_poly`, by which `localize` removes embedded primes with a product
+of quasi-power ratios and binomials.  Binomiality of results is checked
 where the theory guarantees it.
 """
 
-from math import lcm
-
 from .errors import (
     BinomialsError,
-    EscalationLimit,
     InfiniteStandardSet,
     NonzerodivisorViolated,
     NotTwoTerm,
@@ -40,8 +36,8 @@ from .poly import (
 )
 from .scalars import p_part
 
-# rounds of every escalation loop (exponent ladders, doublings, Frobenius
-# powers) before it gives up with EscalationLimit
+# rounds of every escalation loop (exponent doublings, Frobenius powers)
+# before it gives up with EscalationLimit
 MAX_ESCALATION = 20
 
 
@@ -152,17 +148,6 @@ def eliminate(i, keep):
     if all(len(g.terms) <= 2 for g in i.gens) and any(len(p.terms) > 2 for p in kept):
         raise BinomialsError("elimination broke binomiality")
     return Ideal(ring, kept)
-
-
-def restrict_to_subring(i, keep):
-    """Rewrite an ideal generated in k[keep] into the subring on those vars."""
-    keep = sorted(keep)
-    sub = i.ring.restricted(keep)
-    index_map = [None] * i.ring.nvars
-    for pos, v in enumerate(keep):
-        index_map[v] = pos
-    gens = [g.project(sub, index_map) for g in i.gens]
-    return Ideal(sub, gens), sub
 
 
 def _with_aux(i, build):
@@ -276,8 +261,16 @@ def colon_monomial(i, m):
 
 
 def saturate_monomial(i, m):
-    out = saturate_poly(i, m)
-    if all(len(g.terms) <= 2 for g in i.gens) and not out.is_binomial():
+    """(I : m^∞) for a monomial m, one colon-tree step per variable of m:
+    (I : (x_v·m')^∞) = ((I : x_v^∞) : m'^∞), and (I : x_v^∞) is the colon
+    by x_v to its `saturation_order`.  No auxiliary variable.  The colons
+    divide basis elements by monomials, so binomial generators stay
+    binomial; that is checked on the generators, with no Groebner run."""
+    out = i
+    for v, x in enumerate(_monomial_exponent(m)):
+        if x:
+            out = colon_monomial(out, i.ring.var(v) ** saturation_order(out, v))
+    if all(len(g.terms) <= 2 for g in i.gens) and any(len(g.terms) > 2 for g in out.gens):
         raise BinomialsError("monomial saturation broke binomiality")
     return out
 
@@ -416,35 +409,11 @@ def check_nonzerodivisor_lead(i, b):
         )
 
 
-def _ladder(k):
-    """lcm(1..k); the escalation ladder for 'sufficiently divisible' d."""
-    return lcm(*range(1, k + 1))
-
-
-def colon_quasipower(i, b, d=None):
-    """(I : quasi_power(b, d)) with the colon-square stabilization certificate.
-
-    With explicit d the single colon is returned uncertified (useful for
-    reproducing fixed examples); otherwise d walks the lcm(1..k) ladder until
-    (I:b^[d]) = (I:(b^[d])²) = (I:b^[2d]) = (I:b^[3d]).
-    Returns (ideal, d_used).
-    """
+def colon_quasipower(i, b, d):
+    """(I : quasi_power(b, d)), uncertified, for x^a the lead of b a
+    nonzerodivisor modulo I.  Returns (ideal, d)."""
     check_nonzerodivisor_lead(i, b)
-    if d is not None:
-        return colon_poly(i, quasi_power(b, d)), d
-    for k in range(1, MAX_ESCALATION + 1):
-        d = _ladder(k)
-        j = colon_poly(i, quasi_power(b, d))
-        if colon_poly(j, quasi_power(b, d)) != j:
-            continue
-        if colon_poly(i, quasi_power(b, 2 * d)) != j:
-            continue
-        if colon_poly(i, quasi_power(b, 3 * d)) != j:
-            continue
-        if all(len(g.terms) <= 2 for g in i.gens) and not j.is_binomial():
-            raise BinomialsError("stabilized quasi-power colon must be binomial")
-        return j, d
-    raise EscalationLimit("colon_quasipower escalation exceeded bound")
+    return colon_poly(i, quasi_power(b, d)), d
 
 
 def colon_quasipower_ratio(i, b, d, e):
@@ -452,7 +421,7 @@ def colon_quasipower_ratio(i, b, d, e):
     ((I + (I : b^[d]) · b^[e]) : (x^a)^inf).
 
     An insufficiently divisible d may give a non-binomial ideal; callers
-    that escalate d check binomiality themselves.
+    check binomiality themselves.
     """
     if d % e:
         raise ValueError("need e | d")
@@ -479,16 +448,12 @@ def cell_product(ring, cell):
 def cellular_localize(i, cell, exps):
     """((I + ({x_i^d_i} for i outside the cell)) : (prod of cell vars)^inf)."""
     ring = i.ring
-    cell = sorted(cell)
     inside = set(cell)
     gens = list(i.gens)
     for v in range(ring.nvars):
         if v not in inside:
             gens.append(ring.monomial(tuple(exps[v] if j == v else 0 for j in range(ring.nvars))))
-    j = Ideal(ring, gens)
-    if not cell:
-        return j.canonical()
-    return saturate_monomial(j, cell_product(ring, cell))
+    return saturate_monomial(Ideal(ring, gens), cell_product(ring, cell))
 
 
 def nonzerodivisor_variables(i):

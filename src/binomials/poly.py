@@ -164,11 +164,6 @@ class Ring:
     def extended(self, *extra):
         return Ring(self.field, self.names + tuple(extra))
 
-    def restricted(self, keep):
-        """Subring on the variable indices in `keep` (sorted)."""
-        keep = sorted(keep)
-        return Ring(self.field, tuple(self.names[i] for i in keep))
-
     def __eq__(self, other):
         return (
             isinstance(other, Ring)

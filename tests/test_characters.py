@@ -32,8 +32,7 @@ from binomials.ideals import (
     eliminate,
     intersect_all,
     nonzerodivisor_variables,
-    restrict_to_subring,
-    saturate_monomial,
+    saturate_poly,
     standard_monomials,
 )
 from binomials.intlattice import Lattice
@@ -136,7 +135,7 @@ def test_ideal_from_character_vs_saturation(checked):
                     vals = tuple(rnd.choice(units) for _ in lat.basis)
                     rho = PartialCharacter(cell, lat, vals, field)
                     base = _basis_ideal(R, rho)
-                    ref = saturate_monomial(base, cell_product(R, cell))
+                    ref = saturate_poly(base, cell_product(R, cell))
                     assert ideal_from_character(R, rho) == ref, rho
                     grew += ref != base
     # some partial-rank basis ideals are not saturated, so the kept
@@ -423,19 +422,19 @@ def test_rotation_ideal_full_torus_character():
 
 
 def _saturated_cell_character(ideal, cell):
-    """Reference for cell_character: restrict to the cell, saturate by the
-    cell product with a Groebner run, read rho off the saturated basis."""
+    """Reference for cell_character: set the off-cell variables to zero,
+    saturate by the cell product with an auxiliary-variable Groebner run,
+    read rho off the saturated basis, which involves only the cell."""
     ring = ideal.ring
     off = [v for v in range(ring.nvars) if v not in cell]
     restricted = Ideal(ring, [g.substitute_zero(off) for g in ideal.gens])
-    sub_ideal, sub = restrict_to_subring(restricted, cell)
-    sat = saturate_monomial(sub_ideal, cell_product(sub, range(sub.nvars)))
+    sat = saturate_poly(restricted, cell_product(ring, cell))
     if sat.is_unit():
         return None
     vectors, values = [], []
     for g in sat.gb():
         (ea, ca), (eb, cb) = g.terms
-        vectors.append(tuple(x - y for x, y in zip(ea, eb)))
+        vectors.append(tuple(ea[v] - eb[v] for v in cell))
         values.append(-(cb / ca))
     return PartialCharacter.from_generators(cell, vectors, values, ring.field)
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -38,7 +39,6 @@ from binomials.errors import BinomialsError, EscalationLimit, RootNotCyclotomic,
 from binomials.ideals import (
     MAX_ESCALATION,
     Ideal,
-    _ladder,
     cell_product,
     colon_poly,
     colon_quasipower_ratio,
@@ -328,6 +328,11 @@ def test_localize_finite_index_case():
     assert out2 == Ideal(R, (x + 1,))
 
 
+def _ladder(k):
+    """lcm(1..k), the exponent ladder of the old colon loop."""
+    return lcm(*range(1, k + 1))
+
+
 def _case_1_colon_ladder(cur, sigma, rho, cell):
     """Case 1 of the reference loop: colon by b^[d]/b^[q] for
     d = o·lcm(1..k) and q its p-part, accepting the first binomial result
@@ -515,7 +520,7 @@ def _component_hull_by_cell_saturation(j, cell, s, q):
         extra = ideal_from_character(ring, s)
     else:
         extra = _frobenius_power(character_prime_ideal(ring, s), q)
-    r = saturate_monomial(Ideal(ring, j.gens + extra.gens), cell_product(ring, cell))
+    r = saturate_poly(Ideal(ring, j.gens + extra.gens), cell_product(ring, cell))
     return localize(r, r, cell)
 
 
@@ -554,24 +559,32 @@ def test_component_hull_matches_the_cell_saturation():
 
 
 def test_component_hull_saturates_only_at_free_variables(monkeypatch):
-    # a full-rank character needs no saturation before the hull's localize,
-    # any other one saturation by the product of its free variables
+    # before the hull's localize no auxiliary variable is adjoined, and the
+    # saturation asks for saturation orders only at the free variables of
+    # s: not at all at full rank, nor when nothing was added to J (rank 0,
+    # in char 0 or on a cell of all the variables: K = J is cellular)
     from binomials import ideals
 
-    saturated = []
-    real = ideals.saturate_poly
-    monkeypatch.setattr(ideals, "saturate_poly", lambda i, f: saturated.append(f) or real(i, f))
+    aux, asked = [], []
+    real_aux, real_order = ideals._with_aux, ideals.saturation_order
+    monkeypatch.setattr(ideals, "_with_aux", lambda *args: aux.append(args) or real_aux(*args))
+    monkeypatch.setattr(ideals, "saturation_order",
+                        lambda i, v: asked.append(v) or real_order(i, v))
     monkeypatch.setattr(decompose, "localize", lambda i, j, cell: i)
     reached = {}
     for j, cell, s, q in _hull_inputs(9, 5):
-        saturated.clear()
+        aux.clear()
+        asked.clear()
         _component_hull(j, cell, s, q)
         pivots = {s.cell[next(k for k, x in enumerate(row) if x)] for row in s.lattice.basis}
         free = [v for v in s.cell if v not in pivots]
         assert (not free) == (_rank_class(s) == "full")
-        assert saturated == ([cell_product(j.ring, free)] if free else []), (j, s, q)
-        reached[_rank_class(s)] = reached.get(_rank_class(s), 0) + 1
-    assert min(reached.values()) >= 5 and len(reached) == 3, reached
+        added = s.rank > 0 or (q > 1 and len(cell) < j.ring.nvars)
+        assert not aux, (j, s, q)
+        assert asked == (free if added else []), (j, s, q)
+        cls = _rank_class(s) if added else "nothing added"
+        reached[cls] = reached.get(cls, 0) + 1
+    assert min(reached.values()) >= 5 and len(reached) == 4, reached
 
 
 def test_localize_drops_everything_when_disjoint():

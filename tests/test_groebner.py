@@ -167,9 +167,9 @@ def test_ladder_saturation_checked(checked):
     # both x^k - y, y^3 - z*x and the Hermite basis binomials of its curve's
     # character give the curve (t, t^k, t^(3k-1)) when saturated by x*y*z
     # through the auxiliary variable; on the lattice basis that Groebner run
-    # is the one with many pairs (ideal_from_character itself saturates that
-    # basis at its free variable z alone, on the colon tree)
-    from binomials.ideals import Ideal, saturate_monomial
+    # is the one with many pairs (the engine saturates that basis at its
+    # free variable z alone, on the colon tree)
+    from binomials.ideals import Ideal, saturate_poly
 
     R = Ring(QQ, ["x", "y", "z"])
     x, y, z = (R.var(i) for i in range(3))
@@ -179,7 +179,7 @@ def test_ladder_saturation_checked(checked):
             (x**k - y, y**3 - z * x),
             (x * y ** (3 * k - 4) - z ** (k - 1), y ** (3 * k - 1) - z**k),
         ]:
-            sat = saturate_monomial(Ideal(R, gens), x * y * z)
+            sat = saturate_poly(Ideal(R, gens), x * y * z)
             assert [p.key() for p in sat.gb()] == [p.key() for p in expected], (k, gens)
 
 

@@ -7,7 +7,8 @@ longer exists, so renaming or deleting one breaks `run.py --trace 1`.
 The CLI gives the same output under `python -O`, and the same bytes as
 recorded in `reference_digests.json` (`--json`) and
 `reference_text_digests.json` (the plain-text report) for every benchmark
-session.  No new plain `assert` enters the engine.
+session.  No new plain `assert` enters the engine, and no new caller of
+the auxiliary-variable primitives.
 """
 
 import ast
@@ -174,3 +175,32 @@ def test_no_new_plain_asserts_in_the_engine():
         if asserts:
             found[path.name] = asserts
     assert found == ASSERT_ALLOWLIST
+
+
+# the only callers in the engine of the auxiliary-variable primitives: a
+# monomial saturation goes through the colon tree (`saturate_monomial`)
+AUX_CALLERS = {
+    "_with_aux": {("ideals.py", "intersect"), ("ideals.py", "saturate_poly")},
+    "saturate_poly": {("decompose.py", "localize")},
+}
+
+
+def _calls_by_function(node, owner="<module>"):
+    """(callee name, outermost enclosing function) for every call, by name
+    or by attribute."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            yield from _calls_by_function(child, child.name if owner == "<module>" else owner)
+            continue
+        if isinstance(child, ast.Call):
+            yield getattr(child.func, "id", getattr(child.func, "attr", None)), owner
+        yield from _calls_by_function(child, owner)
+
+
+def test_auxiliary_variable_callers():
+    found = {name: set() for name in AUX_CALLERS}
+    for path in sorted(ENGINE.glob("*.py")):
+        for callee, caller in _calls_by_function(ast.parse(path.read_text())):
+            if callee in found:
+                found[callee].add((path.name, caller))
+    assert found == AUX_CALLERS
