@@ -11,7 +11,7 @@ from math import lcm
 from operator import add, itemgetter, le, neg, sub
 
 from .errors import EscalationLimit, FieldMismatch, ParseError, UnknownVariable
-from .scalars import MAX_ZETA_ORDER, QQ, CycloElement, render_scalar, scalar_key, zeta
+from .scalars import MAX_ZETA_ORDER, QQ, CycloElement, power, render_scalar, scalar_key, zeta
 
 
 def mono_mul(a, b):
@@ -303,14 +303,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        result = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one)
 
     def mul_term(self, exp, coeff):
         if not coeff:

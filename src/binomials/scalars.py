@@ -8,15 +8,18 @@ Everything is immutable and exact.
 
 Both extension fields are residue rings k[z]/(f) for a monic f (Phi_N over
 QQ, an irreducible modulus over F_p), and one kernel does their polynomial
-arithmetic: ``_mulmod`` multiplies modulo f and ``_divmod_monic`` divides by a
-monic polynomial.  Neither divides a coefficient, so both are exact over
-Fractions and over ints that the finite-field caller reduces mod p.  Products,
-inverses (extended Euclid with monic remainders), reduction of powers of z,
-cyclotomic polynomials and the irreducibility test all go through them.
+arithmetic: ``_mulmod`` multiplies modulo f, ``_divmod_monic`` divides by a
+monic polynomial and ``_inverse_mod`` inverts modulo f by the extended Euclid
+with monic remainders, on Fractions over QQ and on ints reduced mod p over
+F_p.  Every inverse in both fields, of every degree k, is that one Euclid, and
+Rabin's irreducibility test is its coprimality check.  ``power`` is the one
+square-and-multiply, for scalars, polynomials and the powers of z in Rabin's
+test.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     BadFieldSpec,
@@ -30,16 +33,8 @@ from .errors import (
 
 def euler_phi(n):
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in factorint(n):
+        result -= result // p
     return result
 
 
@@ -175,6 +170,44 @@ def _mulmod(a, b, f):
                 if y:
                     conv[i + j] += x * y
     return _divmod_monic(conv, f)[1]
+
+
+def _inverse_mod(a, f, p=0):
+    """The inverse of a modulo the monic f, or None when a and f share a factor.
+
+    Extended Euclid with monic remainders, on Fractions when p = 0 and on ints
+    reduced mod p otherwise; r0 = s0 * a and r1 = s1 * a modulo f throughout.
+    The inverse has len(f) - 1 coefficients.
+    """
+
+    def reduced(v):
+        return [x % p for x in v] if p else v
+
+    r0, r1 = list(f), list(a)
+    s0, s1 = [0] * (len(f) - 1), [1] + [0] * (len(f) - 2)
+    while True:
+        while r1 and not r1[-1]:
+            r1.pop()
+        if not r1:
+            return None
+        inv = pow(r1[-1], -1, p) if p else 1 / Fraction(r1[-1])
+        r1, s1 = reduced([c * inv for c in r1]), reduced([c * inv for c in s1])
+        if len(r1) == 1:
+            return s1
+        q, r = _divmod_monic(r0, r1)
+        r0, r1 = r1, reduced(r)
+        s0, s1 = s1, reduced([x - y for x, y in zip(s0, _mulmod(q, s1, f))])
+
+
+def power(x, e, one, times=mul):
+    """x^e for an integer e >= 0 by square-and-multiply; `one` is x^0."""
+    result = one
+    while e:
+        if e & 1:
+            result = times(result, x)
+        x = times(x, x)
+        e >>= 1
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -323,21 +356,7 @@ class CycloElement:
     def inverse(self):
         if not self:
             raise DivisionByZero("inverse of zero")
-        f = _modulus(self.order)
-        # extended Euclid in QQ[z] against Phi_N with monic remainders;
-        # r0 = s0 * self and r1 = s1 * self modulo Phi_N throughout
-        r0, r1 = [Fraction(c) for c in f], list(self.coeffs)
-        s0, s1 = [0] * len(r1), [1] + [0] * (len(r1) - 1)
-        while True:
-            while not r1[-1]:
-                r1.pop()
-            lead = r1[-1]
-            r1, s1 = [c / lead for c in r1], [c / lead for c in s1]
-            if len(r1) == 1:
-                return _make(self.order, s1)
-            q, r = _divmod_monic(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, [x - y for x, y in zip(s0, _mulmod(q, s1, f))]
+        return _make(self.order, _inverse_mod(self.coeffs, _modulus(self.order)))
 
     def __truediv__(self, other):
         if isinstance(other, int):
@@ -356,14 +375,7 @@ class CycloElement:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        result = Fraction(1)
-        base = self
-        while e:
-            if e & 1:
-                result = base * result
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, Fraction(1))
 
     def __bool__(self):
         return any(self.coeffs)
@@ -529,7 +541,11 @@ def unit_decompose(a):
 
 
 def _ff_poly_is_irreducible(coeffs, p):
-    """Rabin's irreducibility test over F_p of a monic poly given ascending."""
+    """Rabin's irreducibility test over F_p of a monic f of degree k, ascending.
+
+    f is irreducible exactly when x^(p^k) = x modulo f and x^(p^(k/l)) - x is
+    a unit modulo f for every prime l dividing k.
+    """
     k = len(coeffs) - 1
     if k == 1:
         return True
@@ -537,36 +553,39 @@ def _ff_poly_is_irreducible(coeffs, p):
         return False
 
     def x_power_minus_x(e):
-        # x^e - x mod f, by square-and-multiply
-        out, base = [1] + [0] * (k - 1), [0, 1] + [0] * (k - 2)
-        while e:
-            if e & 1:
-                out = [c % p for c in _mulmod(out, base, coeffs)]
-            base = [c % p for c in _mulmod(base, base, coeffs)]
-            e >>= 1
+        out = power([0, 1] + [0] * (k - 2), e, [1] + [0] * (k - 1),
+                    lambda a, b: [c % p for c in _mulmod(a, b, coeffs)])
         out[1] = (out[1] - 1) % p
         return out
 
-    for q in factorint(k):
-        # Euclid over F_p: gcd(f, x^(p^(k/q)) - x) must be a constant
-        a, b = list(coeffs), x_power_minus_x(p ** (k // q))
-        while any(b):
-            while not b[-1]:
-                b.pop()
-            inv = pow(b[-1], -1, p)
-            a, b = b, [c % p for c in _divmod_monic(a, [c * inv % p for c in b])[1]]
-        if len(a) != 1:
-            return False
+    if any(_inverse_mod(x_power_minus_x(p ** (k // q)), coeffs, p) is None
+           for q in factorint(k)):
+        return False
     return not any(x_power_minus_x(p**k))
 
 
+# Rabin's test of a degree-k modulus takes about k*log2(p) squarings modulo
+# it, each of about k^2 coefficient products plus a fixed Python cost worth
+# some 128 more.  A field is built only when one test fits in this many
+# products, and the modulus search tries only as many candidates as fit, so
+# every header builds or is refused in under 0.7 s on a 2-core VM: GF(13^28),
+# whose search runs out, is the slowest, and GF(1000003^4), which searched for
+# minutes, is refused in 0.2 s.
+MAX_FIELD_WORK = 5 * 10**6
+
+
+def _rabin_work(p, k):
+    return k * p.bit_length() * (k * k + 128)
+
+
 def default_modulus(p, k):
-    """Deterministic smallest monic irreducible of degree k over F_p."""
+    """Deterministic smallest monic irreducible of degree k over F_p, searched
+    among the first MAX_FIELD_WORK // _rabin_work(p, k) candidates."""
     if k == 1:
         return (0, 1)
     # enumerate lower coefficients lexicographically
-    total = p**k
-    for idx in range(total):
+    tries = min(p**k, MAX_FIELD_WORK // _rabin_work(p, k))
+    for idx in range(tries):
         coeffs = []
         v = idx
         for _ in range(k):
@@ -575,7 +594,10 @@ def default_modulus(p, k):
         coeffs.append(1)
         if _ff_poly_is_irreducible(coeffs, p):
             return tuple(coeffs)
-    raise AssertionError("no irreducible polynomial found")
+    raise BadFieldSpec(
+        f"the modulus search of GF({p}^{k}) stops after {tries} candidates; "
+        f"give one as GF({p}^{k}; modulus)"
+    )
 
 
 # generator() and dlog() enumerate the unit group, which takes seconds past
@@ -597,6 +619,11 @@ class FiniteField:
                 raise ValueError(f"{p} is not prime")
             if k < 1:
                 raise ValueError(f"extension degree {k} is not positive")
+            if _rabin_work(p, k) > MAX_FIELD_WORK:
+                raise BadFieldSpec(
+                    f"GF({p}^{k}) is above the field bound: testing a modulus "
+                    f"takes about {_rabin_work(p, k)} > {MAX_FIELD_WORK} products"
+                )
             full = (p, k, default_modulus(p, k) if modulus is None else key[2])
             inst = cls._registry.get(full)
             if inst is None:
@@ -768,9 +795,8 @@ class FiniteFieldElement:
     def inverse(self):
         if not self:
             raise DivisionByZero("inverse of zero")
-        if self.field.k == 1:
-            return FiniteFieldElement(self.field, (pow(self.coeffs[0], -1, self.field.p),))
-        return self ** (self.field.units_order - 1)
+        f = self.field
+        return FiniteFieldElement(f, tuple(_inverse_mod(self.coeffs, f.modulus, f.p)))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -786,14 +812,7 @@ class FiniteFieldElement:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.field.one)
 
     def __bool__(self):
         return any(self.coeffs)

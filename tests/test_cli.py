@@ -14,8 +14,9 @@ def run(text, **kw):
 
 
 def test_parse_ring_variants():
+    # the modulus search of GF(1000003^4) runs out, but a given modulus is used
     for header in ("ring QQ[x,y];", "ring QQ(zeta 12)[a,b];", "ring GF(2)[x];",
-                   "ring GF(2^2; t^2+t+1)[x];"):
+                   "ring GF(2^2; t^2+t+1)[x];", "ring GF(1000003^4; t^4+t+1)[x];"):
         s = parse_session(header + " ideal I = x; radical I;"
                           if "x" in header else header)
         assert s.ring is not None
@@ -174,6 +175,9 @@ def test_non_utf8_session_is_an_error(tmp_path, capsys):
     ("ring QQ[x,y];\nideal I = 2^-1*x - y, x/y;", 1, "line 2, column 25"),
     ("ring QQ[x,y];\nideal L = character [x,y] [[1,-1]] [1@GF(5)];", 1, "line 2, column 38"),
     ("ring GF(1000000000000000001)[x]; ideal I = x; radical I;", 1, "is not prime"),
+    # a field is built only when its modulus search and test are bounded
+    ("ring GF(1000003^4)[x];", 1, "give one as GF(1000003^4; modulus)"),
+    ("ring GF(2^1000)[x];", 1, "GF(2^1000) is above the field bound"),
     # QQ(zeta_N) is not built for an absurd order
     ("ring QQ[x];\nideal I = x - z5000; radical I;", 1, "line 2, column 15"),
     pytest.param("ring QQ[x]; ideal I = x - z" + "1" * 5000 + "; radical I;", 1,

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -18,8 +19,10 @@ from binomials.scalars import (
     CycloElement,
     FiniteField,
     _ff_poly_is_irreducible,
+    _inverse_mod,
     cyclotomic_polynomial,
     default_modulus,
+    euler_phi,
     factorint,
     is_prime,
     render_scalar,
@@ -62,6 +65,9 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    for n in range(1, 201):
+        units = sum(gcd(j, n) == 1 for j in range(1, n + 1))
+        assert len(cyclotomic_polynomial(n)) - 1 == euler_phi(n) == units, n
 
 
 def test_root_of_unity_orders():
@@ -230,6 +236,51 @@ def test_cyclo_inverse():
         x / (x - x)
 
 
+def test_inverse_mod_detects_a_shared_factor():
+    assert _inverse_mod([1, 1], [1, 0, 1], 2) is None  # z^2 + 1 = (z + 1)^2 over F_2
+    assert _inverse_mod([-1, 1], [-1, 0, 1]) is None  # z^2 - 1 = (z - 1)(z + 1)
+    assert _inverse_mod([1, 1], [1, 1, 1], 2) == [0, 1]  # z(z + 1) = 1 mod z^2 + z + 1
+    assert _inverse_mod([1, 1], [1, 0, 1]) == [Fraction(1, 2), Fraction(-1, 2)]
+    for zero in (FiniteField(5).zero, FiniteField(5, 2).zero, CycloElement(12, (Fraction(0),) * 4)):
+        with pytest.raises(DivisionByZero):
+            zero.inverse()
+
+
+def test_inverse_in_a_large_prime_field():
+    F = FiniteField(1000003, 2)
+    rnd = random.Random(1000003)
+    for _ in range(50):
+        a = F.element((rnd.randrange(1000003), rnd.randrange(1, 1000003)))
+        inv = a.inverse()
+        assert a * inv == F.one
+        assert ref_rem(ref_mul(a.coeffs, inv.coeffs), F.modulus, F.p) == [1, 0]
+
+
+def test_field_build_is_bounded(monkeypatch):
+    calls = []
+
+    def counted(coeffs, p):
+        calls.append(p)
+        return _ff_poly_is_irreducible(coeffs, p)
+
+    monkeypatch.setattr(scalars, "_ff_poly_is_irreducible", counted)
+    monkeypatch.setattr(FiniteField, "_registry", {})
+    # one test of a degree-1000 modulus is out of bounds, so none is run
+    with pytest.raises(BadFieldSpec, match="above the field bound"):
+        FiniteField(2, 1000)
+    assert calls == []
+    # no x^4 + c is irreducible when p = 3 mod 4, so the search runs out
+    with pytest.raises(BadFieldSpec, match=r"GF\(1000003\^4; modulus\)"):
+        FiniteField(1000003, 4)
+    assert len(calls) == scalars.MAX_FIELD_WORK // scalars._rabin_work(1000003, 4)
+    # an explicit modulus is tested once
+    del calls[:]
+    F = FiniteField(1000003, 4, (1, 1, 0, 0, 1))
+    assert calls == [1000003]
+    t = F.element((0, 1))
+    assert t * t.inverse() == F.one
+
+
 def test_is_prime_miller_rabin():
     for n in range(-3, 3000):
         assert is_prime(n) == (n >= 2 and factorint(n) == {n: 1}), n
@@ -294,7 +345,16 @@ def test_cyclotomic_kernel_against_schoolbook(n):
             assert a / b * b == a
 
 
-@pytest.mark.parametrize("p, k", [(2, 3), (3, 2), (5, 2), (5, 4), (7, 3)])
+def ref_pow(a, e, f, p):
+    """a^e modulo the monic f over F_p, by schoolbook products."""
+    if e == 0:
+        return ref_rem([1], f, p)
+    half = ref_pow(a, e // 2, f, p)
+    out = ref_rem(ref_mul(half, half), f, p)
+    return ref_rem(ref_mul(out, a), f, p) if e % 2 else out
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (5, 4), (7, 3)])
 def test_finite_field_kernel_against_schoolbook(p, k):
     F = FiniteField(p, k)
     elements = F.elements()
@@ -303,8 +363,13 @@ def test_finite_field_kernel_against_schoolbook(p, k):
         a, b = rnd.choice(elements), rnd.choice(elements)
         ref = ref_rem(ref_mul(a.coeffs, b.coeffs), F.modulus, p)
         assert list((a * b).coeffs) == ref
+    one = [1] + [0] * (k - 1)
     for a in elements:
         assert a ** (p**k) == a
+        if a:
+            inv = list(a.inverse().coeffs)
+            assert ref_rem(ref_mul(a.coeffs, inv), F.modulus, p) == one
+            assert inv == ref_pow(list(a.coeffs), p**k - 2, F.modulus, p)  # Fermat
 
 
 @pytest.mark.parametrize("p", [2, 3])

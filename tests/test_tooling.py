@@ -8,7 +8,8 @@ The CLI gives the same output under `python -O`, and the same bytes as
 recorded in `reference_digests.json` (`--json`) and
 `reference_text_digests.json` (the plain-text report) for every benchmark
 session.  No new plain `assert` enters the engine, and no new caller of
-the auxiliary-variable primitives.
+the auxiliary-variable primitives or of the residue-ring kernel's extended
+Euclid and square-and-multiply.
 """
 
 import ast
@@ -184,23 +185,61 @@ AUX_CALLERS = {
     "saturate_poly": {("decompose.py", "localize")},
 }
 
+# the residue-ring kernel has one extended Euclid and one square-and-multiply
+KERNEL_CALLERS = {
+    "_inverse_mod": {
+        ("scalars.py", "CycloElement.inverse"),
+        ("scalars.py", "FiniteFieldElement.inverse"),
+        ("scalars.py", "_ff_poly_is_irreducible"),
+    },
+    "power": {
+        ("scalars.py", "CycloElement.__pow__"),
+        ("scalars.py", "FiniteFieldElement.__pow__"),
+        ("poly.py", "Polynomial.__pow__"),
+        ("scalars.py", "_ff_poly_is_irreducible"),
+    },
+}
 
-def _calls_by_function(node, owner="<module>"):
+
+def _calls_by_function(node, owner="<module>", prefix=""):
     """(callee name, outermost enclosing function) for every call, by name
-    or by attribute."""
+    or by attribute; a method is named Class.method."""
     for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef) and owner == "<module>":
+            yield from _calls_by_function(child, owner, f"{child.name}.")
+            continue
         if isinstance(child, ast.FunctionDef):
-            yield from _calls_by_function(child, child.name if owner == "<module>" else owner)
+            yield from _calls_by_function(child, prefix + child.name if owner == "<module>" else owner)
             continue
         if isinstance(child, ast.Call):
             yield getattr(child.func, "id", getattr(child.func, "attr", None)), owner
-        yield from _calls_by_function(child, owner)
+        yield from _calls_by_function(child, owner, prefix)
 
 
-def test_auxiliary_variable_callers():
-    found = {name: set() for name in AUX_CALLERS}
+def _engine_callers(names):
+    found = {name: set() for name in names}
     for path in sorted(ENGINE.glob("*.py")):
         for callee, caller in _calls_by_function(ast.parse(path.read_text())):
             if callee in found:
                 found[callee].add((path.name, caller))
-    assert found == AUX_CALLERS
+    return found
+
+
+def test_auxiliary_variable_callers():
+    assert _engine_callers(AUX_CALLERS) == AUX_CALLERS
+
+
+def test_one_euclid_and_one_square_and_multiply():
+    assert _engine_callers(KERNEL_CALLERS) == KERNEL_CALLERS
+    methods = [
+        (path.name, node)
+        for path in sorted(ENGINE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in ("__pow__", "inverse")
+    ]
+    assert len(methods) == 5
+    for name, method in methods:
+        inner = list(ast.walk(method))
+        assert not any(isinstance(n, ast.While) for n in inner), (name, method.name)
+        if method.name == "inverse":  # no Fermat power a^(q - 2)
+            assert not any(isinstance(n, ast.Pow) for n in inner), name
