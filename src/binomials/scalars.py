@@ -11,13 +11,23 @@ QQ, an irreducible modulus over F_p), and one kernel does their polynomial
 arithmetic: ``_mulmod`` multiplies modulo f, ``_divmod_monic`` divides by a
 monic polynomial and ``_inverse_mod`` inverts modulo f by the extended Euclid
 with monic remainders, on Fractions over QQ and on ints reduced mod p over
-F_p.  Every inverse in both fields, of every degree k, is that one Euclid, and
-Rabin's irreducibility test is its coprimality check.  ``power`` is the one
-square-and-multiply, for scalars, polynomials and the powers of z in Rabin's
-test.
+F_p.  Every inverse in QQ(zeta_N) and in a finite field above the table bound
+is that one Euclid, and Rabin's irreducibility test is its coprimality check.
+``power`` is the one square-and-multiply, for scalars, polynomials and the
+powers of z in Rabin's test.
+
+Each finite field keeps one table of its unit group, built on first use by
+walking the powers of a generator g with the kernel: exp[i] = g^i, the log of
+each element, and the Zech logarithms log(1 + g^i).  In a field of at most
+MAX_TABLE_ORDER = 2^12 elements, multiplying, dividing, inverting and raising
+to a power add or scale logs modulo q - 1, and adding reads one Zech
+logarithm.  Above that bound the arithmetic stays on the kernel, and the
+table, built only up to MAX_ENUMERATED_UNITS units, serves ``generator`` and
+``dlog`` alone.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
@@ -600,9 +610,14 @@ def default_modulus(p, k):
     )
 
 
-# generator() and dlog() enumerate the unit group, which takes seconds past
-# this order (GF(1000003): 4.5 s), so larger fields refuse them instead
+# the table of a field walks its whole unit group, which takes seconds past
+# this order (GF(1000003): 2.7 s and 162 MB), so larger fields refuse
+# generator() and dlog() instead
 MAX_ENUMERATED_UNITS = 2**18
+
+# fields of up to this many elements do all their arithmetic on their table;
+# larger ones multiply and invert with the residue-ring kernel
+MAX_TABLE_ORDER = 2**12
 
 
 class FiniteField:
@@ -628,24 +643,64 @@ class FiniteField:
             inst = cls._registry.get(full)
             if inst is None:
                 inst = super().__new__(cls)
-                inst._init(*full)
+                inst._init(*full, tested=modulus is None)
             cls._registry[key] = cls._registry[full] = inst
         return inst
 
-    def _init(self, p, k, modulus):
+    def _init(self, p, k, modulus, tested):
         if len(modulus) != k + 1 or modulus[k] != 1:
             raise ValueError("modulus must be monic of degree k")
-        if not _ff_poly_is_irreducible(list(modulus), p):
+        # default_modulus has already run Rabin's test on its modulus
+        if not tested and not _ff_poly_is_irreducible(list(modulus), p):
             raise ValueError("modulus is not irreducible over F_p")
         self.p = p
         self.k = k
         self.char = p
         self.modulus = modulus
         self.units_order = p**k - 1
-        self._gen = None
-        self._dlog = None
         self.zero = FiniteFieldElement(self, (0,) * k)
         self.one = FiniteFieldElement(self, (1,) + (0,) * (k - 1))
+
+    @cached_property
+    def _table(self):
+        """(exp, log, zech) of the unit group, built on first use.
+
+        Walks the powers of each unit in elements() order with the
+        residue-ring kernel until one has order q - 1: that unit is the
+        generator g.  log maps the coefficients of g^i to i, and those of
+        zero to None.  In a field of up to MAX_TABLE_ORDER elements,
+        exp[i] = g^i and zech[i] = log(1 + g^i), so that the arithmetic adds
+        and multiplies by index.  Above that bound the table serves
+        generator() and dlog() alone: exp stops at g^1 and zech is None, so
+        that it holds no element per unit.
+        """
+        m, p = self.units_order, self.p
+        if m > MAX_ENUMERATED_UNITS:
+            raise EscalationLimit(
+                f"{self!r} has {m} units; generators and discrete logs "
+                f"are found by enumeration up to {MAX_ENUMERATED_UNITS} units"
+            )
+        one, seen = self.one.coeffs, set()
+        for idx in range(1, m + 1):
+            g = self._digits(idx)
+            if g in seen:  # a power of a unit of smaller order
+                continue
+            log, x = {one: 0}, g
+            while x != one:
+                log[x] = len(log)
+                x = tuple([c % p for c in _mulmod(x, g, self.modulus)])
+            if len(log) == m:
+                break
+            seen.update(log)
+        small = m < MAX_TABLE_ORDER
+        exp = list(log) if small else [one, g]  # log keeps the walk's order
+        log[self.zero.coeffs] = None
+        zech = [log[((c[0] + 1) % p,) + c[1:]] for c in exp] if small else None
+        return [FiniteFieldElement(self, c) for c in exp], log, zech
+
+    def _digits(self, idx):
+        """Coefficients of the idx-th element in elements() order."""
+        return tuple(idx // self.p**i % self.p for i in range(self.k))
 
     def scalar(self, x):
         if isinstance(x, FiniteFieldElement):
@@ -667,47 +722,18 @@ class FiniteField:
 
     def elements(self):
         """All field elements in deterministic (lexicographic) order."""
-        out = [self.zero]
-        total = self.p**self.k
-        for idx in range(1, total):
-            coeffs = []
-            v = idx
-            for _ in range(self.k):
-                coeffs.append(v % self.p)
-                v //= self.p
-            out.append(self.element(coeffs))
-        return out
+        return [self.zero] + [FiniteFieldElement(self, self._digits(idx))
+                              for idx in range(1, self.p**self.k)]
 
     def generator(self):
-        if self._gen is None:
-            m = self.units_order
-            if m > MAX_ENUMERATED_UNITS:
-                raise EscalationLimit(
-                    f"{self!r} has {m} units; generators and discrete logs "
-                    f"are found by enumeration up to {MAX_ENUMERATED_UNITS} units"
-                )
-            prime_parts = [m // q for q in factorint(m)]
-            for cand in self.elements():
-                if not cand:
-                    continue
-                if all(cand**e != self.one for e in prime_parts):
-                    self._gen = cand
-                    break
-        return self._gen
+        """The first element of order q - 1 in elements() order."""
+        return self._table[0][1 % self.units_order]
 
     def dlog(self, a):
-        """Discrete log base generator(); a brute-force table, bounded by generator()."""
+        """Discrete log base generator(), read off the table."""
         if not a:
             raise DivisionByZero("dlog of zero")
-        if self._dlog is None:
-            table = {}
-            g = self.generator()
-            cur = self.one
-            for i in range(self.units_order):
-                table[cur.coeffs] = i
-                cur = cur * g
-            self._dlog = table
-        return self._dlog[a.coeffs]
+        return self._table[1][a.coeffs]
 
     def dth_roots(self, c, d):
         """All d-th roots of c in this field (unique root for the p-part)."""
@@ -759,16 +785,28 @@ class FiniteFieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.field.p
+        f = self.field
+        m = f.units_order
+        if m < MAX_TABLE_ORDER:  # g^a + g^b = g^(a + log(1 + g^(b - a)))
+            exp, log, zech = f._table
+            a, b = log[self.coeffs], log[o.coeffs]
+            if a is None or b is None:
+                return o if a is None else self
+            z = zech[(b - a) % m]
+            return f.zero if z is None else exp[(a + z) % m]
         return FiniteFieldElement(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs))
+            f, tuple((a + b) % f.p for a, b in zip(self.coeffs, o.coeffs))
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.field.p
-        return FiniteFieldElement(self.field, tuple((-a) % p for a in self.coeffs))
+        f = self.field
+        m = f.units_order
+        if m < MAX_TABLE_ORDER and self:  # -1 = g^(m/2) for odd p
+            exp, log, _ = f._table
+            return exp[(log[self.coeffs] + (m // 2 if f.p > 2 else 0)) % m]
+        return FiniteFieldElement(f, tuple((-a) % f.p for a in self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -784,11 +822,14 @@ class FiniteFieldElement:
         if o is None:
             return NotImplemented
         f = self.field
-        p, k = f.p, f.k
-        if k == 1:
-            return FiniteFieldElement(f, ((self.coeffs[0] * o.coeffs[0]) % p,))
+        if f.units_order < MAX_TABLE_ORDER:
+            exp, log, _ = f._table
+            a, b = log[self.coeffs], log[o.coeffs]
+            return f.zero if a is None or b is None else exp[(a + b) % f.units_order]
+        if f.k == 1:
+            return FiniteFieldElement(f, ((self.coeffs[0] * o.coeffs[0]) % f.p,))
         prod = _mulmod(self.coeffs, o.coeffs, f.modulus)
-        return FiniteFieldElement(f, tuple([c % p for c in prod]))
+        return FiniteFieldElement(f, tuple([c % f.p for c in prod]))
 
     __rmul__ = __mul__
 
@@ -796,6 +837,9 @@ class FiniteFieldElement:
         if not self:
             raise DivisionByZero("inverse of zero")
         f = self.field
+        if f.units_order < MAX_TABLE_ORDER:
+            exp, log, _ = f._table
+            return exp[-log[self.coeffs] % f.units_order]
         return FiniteFieldElement(f, tuple(_inverse_mod(self.coeffs, f.modulus, f.p)))
 
     def __truediv__(self, other):
@@ -810,9 +854,13 @@ class FiniteFieldElement:
         return self.inverse() * other
 
     def __pow__(self, e):
+        f = self.field
+        if f.units_order < MAX_TABLE_ORDER and self:
+            exp, log, _ = f._table
+            return exp[log[self.coeffs] * e % f.units_order]
         if e < 0:
             return self.inverse() ** (-e)
-        return power(self, e, self.field.one)
+        return power(self, e, f.one)
 
     def __bool__(self):
         return any(self.coeffs)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -11,6 +13,7 @@ from binomials.errors import (
     FieldMismatch,
     ParseError,
     RootNotCyclotomic,
+    RootNotInField,
 )
 from binomials import scalars
 from binomials.poly import Ring, parse_scalar
@@ -354,22 +357,125 @@ def ref_pow(a, e, f, p):
     return ref_rem(ref_mul(out, a), f, p) if e % 2 else out
 
 
-@pytest.mark.parametrize("p, k", [(5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (5, 4), (7, 3)])
+# all pairs up to GF(7^2), each element against 200 seeded others up to
+# MAX_TABLE_ORDER, and 200 seeded elements above it, where the residue-ring
+# kernel multiplies and inverts instead of the table
+FIELDS = [(5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (7, 2), (5, 4), (7, 3), (4099, 1), (67, 2)]
+
+
+@pytest.mark.parametrize("p, k", FIELDS)
 def test_finite_field_kernel_against_schoolbook(p, k):
     F = FiniteField(p, k)
+    q, f = p**k, F.modulus
+    assert (q <= scalars.MAX_TABLE_ORDER) == (q < 4099)
+    rnd = random.Random(q)
     elements = F.elements()
-    rnd = random.Random(p**k)
-    for _ in range(200):
-        a, b = rnd.choice(elements), rnd.choice(elements)
-        ref = ref_rem(ref_mul(a.coeffs, b.coeffs), F.modulus, p)
-        assert list((a * b).coeffs) == ref
-    one = [1] + [0] * (k - 1)
-    for a in elements:
-        assert a ** (p**k) == a
+    firsts = elements if q <= scalars.MAX_TABLE_ORDER else rnd.sample(elements, 200)
+    inverses = {}
+
+    def inverse(c):  # Fermat, by schoolbook products
+        if c not in inverses:
+            inverses[c] = ref_pow(list(c), q - 2, f, p)
+        return inverses[c]
+
+    for a in firsts:
+        ca = list(a.coeffs)
+        assert list((-a).coeffs) == [-x % p for x in ca]
+        for e in (0, 1, 2, 3, q - 2, q, 2 * q + 1):
+            assert list((a**e).coeffs) == ref_pow(ca, e, f, p)
+            if a:
+                assert list((a**-e).coeffs) == ref_pow(inverse(a.coeffs), e, f, p)
         if a:
-            inv = list(a.inverse().coeffs)
-            assert ref_rem(ref_mul(a.coeffs, inv), F.modulus, p) == one
-            assert inv == ref_pow(list(a.coeffs), p**k - 2, F.modulus, p)  # Fermat
+            assert list(a.inverse().coeffs) == inverse(a.coeffs)
+            assert ref_rem(ref_mul(ca, inverse(a.coeffs)), f, p) == list(F.one.coeffs)
+        for b in elements if q <= 49 else rnd.sample(elements, 200):
+            cb = list(b.coeffs)
+            assert list((a * b).coeffs) == ref_rem(ref_mul(ca, cb), f, p)
+            assert list((a + b).coeffs) == [(x + y) % p for x, y in zip(ca, cb)]
+            assert list((a - b).coeffs) == [(x - y) % p for x, y in zip(ca, cb)]
+            if b:
+                assert list((a / b).coeffs) == ref_rem(ref_mul(ca, inverse(b.coeffs)), f, p)
+    with pytest.raises(DivisionByZero):
+        F.zero ** -1
+
+
+@pytest.mark.parametrize("p, k", FIELDS)
+def test_generator_and_dlog_against_schoolbook(p, k):
+    F = FiniteField(p, k)
+    q, f = p**k, F.modulus
+    one = list(F.one.coeffs)
+
+    def powers(c):  # c^0, c^1, ... up to the first return to 1
+        out, x = [one], list(c)
+        while x != one:
+            out.append(x)
+            x = ref_rem(ref_mul(x, c), f, p)
+        return out
+
+    g = next(a for a in F.elements()[1:] if len(powers(a.coeffs)) == q - 1)
+    assert F.generator() == g
+    for i, x in enumerate(powers(g.coeffs)):
+        assert F.dlog(F.element(x)) == i
+        assert list((g**i).coeffs) == x
+
+
+# sha256 of the recorded root lists below: a change to how the generator is
+# found may not move any root or its place in a list
+DTH_ROOTS_DIGEST = "de9abb27e5b1f5acbbf1fb2cae1a2cbcd998b6f7dcd16db1e36ecd9fc5e593fc"
+
+
+def test_dth_roots_keep_their_order():
+    rows = []
+    for p, k in ((5, 2), (3, 2)):
+        F = FiniteField(p, k)
+        for c in F.elements():
+            for d in (2, 3, 4, 6, 8):
+                try:
+                    roots = [r.coeffs for r in F.dth_roots(c, d)]
+                except RootNotInField:
+                    roots = None
+                rows.append([p, k, c.coeffs, d, roots])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == DTH_ROOTS_DIGEST
+    F9 = FiniteField(3, 2)  # modulus t^2 + 1, generator t + 1
+    assert [r.coeffs for r in F9.dth_roots(F9.one, 8)] == [
+        (1, 0), (1, 1), (0, 2), (1, 2), (2, 0), (2, 2), (0, 1), (2, 1)
+    ]
+
+
+def test_the_table_is_built_on_first_use(monkeypatch):
+    monkeypatch.setattr(FiniteField, "_registry", {})
+    for first_use in (lambda F: F.one * F.one, FiniteField.generator, lambda F: F.dlog(F.one)):
+        FiniteField._registry.clear()
+        F = FiniteField(5, 2)
+        a = F.element((1, 1))
+        assert F.elements()[6] == a != F.scalar(3) and render_scalar(a) == "t + 1@GF(5^2)"
+        assert "_table" not in vars(F)
+        first_use(F)
+        assert "_table" in vars(F)
+    # above MAX_TABLE_ORDER the arithmetic builds no table, and the one that
+    # generator() and dlog() read holds no element per unit
+    F = FiniteField(4099)
+    a = F.scalar(2)
+    assert (a * a + a - a) / a == a and a.inverse() ** -3 == F.scalar(8) and -a == F.scalar(4097)
+    assert "_table" not in vars(F)
+    assert F.dlog(F.generator()) == 1
+    exp, log, zech = F._table
+    assert len(exp) == 2 and len(log) == 4099 and zech is None
+
+
+def test_default_modulus_is_tested_once(monkeypatch):
+    calls = []
+
+    def counted(coeffs, p):
+        calls.append(tuple(coeffs))
+        return _ff_poly_is_irreducible(coeffs, p)
+
+    monkeypatch.setattr(scalars, "_ff_poly_is_irreducible", counted)
+    monkeypatch.setattr(FiniteField, "_registry", {})
+    assert FiniteField(7, 3).modulus == (2, 0, 0, 1)
+    assert calls == [(0, 0, 0, 1), (1, 0, 0, 1), (2, 0, 0, 1)]
+    with pytest.raises(ValueError, match="not irreducible"):
+        FiniteField(7, 3, (1, 0, 0, 1))  # t^3 + 1 = (t + 1)(t^2 - t + 1)
 
 
 @pytest.mark.parametrize("p", [2, 3])

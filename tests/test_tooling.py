@@ -9,7 +9,8 @@ recorded in `reference_digests.json` (`--json`) and
 `reference_text_digests.json` (the plain-text report) for every benchmark
 session.  No new plain `assert` enters the engine, and no new caller of
 the auxiliary-variable primitives or of the residue-ring kernel's extended
-Euclid and square-and-multiply.
+Euclid and square-and-multiply.  A finite field walks its unit group only
+in its table builder.
 """
 
 import ast
@@ -243,3 +244,42 @@ def test_one_euclid_and_one_square_and_multiply():
         assert not any(isinstance(n, ast.While) for n in inner), (name, method.name)
         if method.name == "inverse":  # no Fermat power a^(q - 2)
             assert not any(isinstance(n, ast.Pow) for n in inner), name
+
+
+# a finite field walks its unit group once, in the table builder; generator()
+# and dlog() read that table
+UNIT_GROUP_WALKERS = {"FiniteField._table"}
+
+
+def _finite_field_methods(tree):
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name in ("FiniteField", "FiniteFieldElement"):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    yield f"{cls.name}.{node.name}", node
+
+
+def _multiplies(node):
+    return any(
+        isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Mult, ast.Pow))
+        or isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("_mulmod", "power")
+        for n in ast.walk(node)
+    )
+
+
+def test_one_walk_of_the_unit_group():
+    """Only the table builder holds a for or while loop that multiplies, and
+    generator() and dlog() hold no loop at all, so neither builds a table of
+    its own."""
+    tree = ast.parse((ENGINE / "scalars.py").read_text())
+    methods = dict(_finite_field_methods(tree))
+    walkers = {
+        name for name, method in methods.items()
+        if any(isinstance(n, (ast.For, ast.While)) and _multiplies(n) for n in ast.walk(method))
+    }
+    assert walkers == UNIT_GROUP_WALKERS
+    for name in ("FiniteField.generator", "FiniteField.dlog"):
+        loops = (ast.For, ast.While, ast.comprehension)
+        assert not any(isinstance(n, loops) for n in ast.walk(methods[name])), name
+    attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not attributes & {"_dlog", "_gen"}
