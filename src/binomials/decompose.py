@@ -130,7 +130,7 @@ def radical(i):
     variable recursion; the radical of a binomial ideal stays binomial)."""
     ring = i.ring
     if i.is_zero() or i.is_unit():
-        return i.canonical()
+        return i
     pieces = []
     for _, rho in cell_scan(i):
         rho_p = p_saturation(rho)
@@ -150,7 +150,7 @@ def minimal_prime_entries(i):
         return []
     if i.is_zero():
         full = tuple(range(ring.nvars))
-        return [(full, PartialCharacter.trivial(full, ring.field), i.canonical())]
+        return [(full, PartialCharacter.trivial(full, ring.field), i)]
     entries = []
     for cell, rho in cell_scan(i):
         for s in character_saturations(p_saturation(rho)):
@@ -224,7 +224,7 @@ def cellular_decomposition(i):
     if i.is_unit():
         return []
     if i.is_zero():
-        return [CellularComponent(i.canonical(), tuple(range(ring.nvars)), (1,) * ring.nvars)]
+        return [CellularComponent(i, tuple(range(ring.nvars)), (1,) * ring.nvars)]
     kept = _prune_redundant(_cellular_pieces(i), _cell_below, ring)
     if checks.ENABLED:
         cells = [c.cell for c in kept]
@@ -410,11 +410,10 @@ def localize(i, j, cell):
     cell = tuple(sorted(cell))
     sigma = p_saturation(character_from_cellular(j, cell))
     min_primes = [character_prime_ideal(ring, s) for s in character_saturations(sigma)]
-    cur = i.canonical()
-    if cur.is_unit():
-        return cur
+    if i.is_unit():
+        return i
     fs = []
-    for rho in associated_prime_characters(cur, cell):
+    for rho in associated_prime_characters(i, cell):
         p_ideal = character_prime_ideal(ring, rho)
         if any(q.contains(p_ideal) for q in min_primes):
             continue
@@ -426,8 +425,8 @@ def localize(i, j, cell):
         else:
             fs.append(_infinite_index_poly(rho, lat, cell, ring))
     if not fs:
-        return cur
-    out = saturate_poly(cur, prod(fs))
+        return i
+    out = saturate_poly(i, prod(fs))
     if not out.is_binomial():
         raise BinomialsError("localization of a cellular binomial ideal is not binomial")
     return out
@@ -595,7 +594,7 @@ def _primary_candidates(i):
     ring = i.ring
     cellular_ok, cell = is_cellular(i)
     if cellular_ok:
-        cells = [CellularComponent(i.canonical(), cell, (1,) * ring.nvars)]
+        cells = [CellularComponent(i, cell, (1,) * ring.nvars)]
     else:
         cells = cellular_decomposition(i)
     raw = []
@@ -626,7 +625,7 @@ def effective_field(ring, *ideal_groups):
     n = field.order
     for group in ideal_groups:
         for ideal in group:
-            for g in ideal.gens:
+            for g in ideal.gb().polys:
                 for _, c in g.terms:
                     n = lcm(n, scalar_order(c))
     from .scalars import CycloField

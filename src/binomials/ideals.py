@@ -13,8 +13,12 @@ monomial, is one colon per variable of the monomial.  The auxiliary variable
 t serves only what leaves monomials: `intersect`, one elimination run on
 t·I + (1−t)·J (`intersect_all` folds smallest basis first), and
 `saturate_poly`, by which `localize` removes embedded primes with a product
-of quasi-power ratios and binomials.  Binomiality of results is checked
-where the theory guarantees it.
+of quasi-power ratios and binomials.  Both start from the reduced degrevlex
+basis kept on the input, which its unit test has built.  An ideal is one
+object: an operation with nothing to do (a unit or zero factor, an empty
+elimination, a quasi-power ratio with d = e) returns its input, whose bases
+and colon tree are then reused, never a copy regenerated by its basis.  Binomiality of results is
+checked where the theory guarantees it.
 """
 
 from .errors import (
@@ -108,19 +112,8 @@ class Ideal:
             return Ideal(self.ring, self.gens + (other,))
         return Ideal(self.ring, self.gens + tuple(other))
 
-    def canonical(self):
-        """Ideal regenerated by its reduced degrevlex GB."""
-        return Ideal(self.ring, self.gb().polys)
-
     def __repr__(self):
-        return f"Ideal({', '.join(render_poly(g) for g in self.gens) or '0'})"
-
-
-def is_binomial_ideal(gens):
-    if isinstance(gens, Ideal):
-        return gens.is_binomial()
-    gens = list(gens)
-    return groebner_basis(gens, DEGREVLEX, gens[0].ring).is_binomial
+        return f"Ideal({', '.join(render_poly(g) for g in self.gb().polys) or '0'})"
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +135,7 @@ def eliminate(i, keep):
     keep = set(keep)
     drop = [v for v in range(ring.nvars) if v not in keep]
     if not drop:
-        return i.canonical()
+        return i
     gb = i.gb(elim_order(drop, ring.nvars))
     kept = [p for p in gb if not p.involves(drop)]
     if all(len(g.terms) <= 2 for g in i.gens) and any(len(p.terms) > 2 for p in kept):
@@ -173,16 +166,14 @@ def intersect(i, j):
     """I ∩ J via eliminating t from t·I + (1−t)·J."""
     if i.ring != j.ring:
         raise ValueError("intersection across rings")
-    if i.is_zero() or j.is_zero():
-        return Ideal(i.ring)
-    if i.is_unit():
-        return j.canonical()
-    if j.is_unit():
-        return i.canonical()
+    if i.is_zero() or j.is_unit():
+        return i
+    if j.is_zero() or i.is_unit():
+        return j
     return _with_aux(
         i,
-        lambda up, t: [up(f) * t for f in i.gens]
-        + [up(g) * (t.ring.one - t) for g in j.gens],
+        lambda up, t: [up(f) * t for f in i.gb().polys]
+        + [up(g) * (t.ring.one - t) for g in j.gb().polys],
     )
 
 
@@ -199,12 +190,12 @@ def intersect_all(ideals, ring):
     acc = None
     for k in sorted((k for k in ideals if not k.is_unit()), key=lambda k: len(k.gb().polys)):
         if acc is None:
-            acc = k.canonical()
+            acc = k
             continue
         if k.contains(acc):
             continue
         if acc.contains(k):
-            acc = k.canonical()
+            acc = k
             continue
         acc = intersect(acc, k)
     if acc is None:
@@ -217,9 +208,9 @@ def saturate_poly(i, f):
     if not f.terms:
         raise ValueError("saturation by zero")
     if i.is_zero():
-        return Ideal(i.ring)
+        return i
     return _with_aux(
-        i, lambda up, t: [up(g) for g in i.gens] + [t * up(f) - t.ring.one]
+        i, lambda up, t: [up(g) for g in i.gb().polys] + [t * up(f) - t.ring.one]
     )
 
 
@@ -245,7 +236,7 @@ def colon_poly(i, f):
     if not f.terms:
         raise ValueError("colon by zero")
     if i.is_zero():
-        return Ideal(i.ring)
+        return i
     w = intersect(i, Ideal(i.ring, (f,)))
     return Ideal(i.ring, tuple(divide_exact(g, f) for g in w.gens))
 
@@ -429,7 +420,7 @@ def colon_quasipower_ratio(i, b, d, e):
         raise ValueError("need q | e for the p-part q of d")
     check_nonzerodivisor_lead(i, b)
     if d == e:
-        return i.canonical()
+        return i
     k = colon_poly(i, quasi_power(b, d))
     f = quasi_power(b, e)
     j0 = Ideal(i.ring, i.gens + tuple(g * f for g in k.gens))

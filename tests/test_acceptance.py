@@ -31,7 +31,6 @@ from binomials.ideals import (
     colon_quasipower,
     colon_quasipower_ratio,
     intersect_all,
-    is_binomial_ideal,
     saturate_monomial,
 )
 from binomials.intlattice import Lattice
@@ -161,7 +160,7 @@ def test_criterion_4_coupled_differences():
         assert any(p == e for p in mp)
     colon_generators = [x1 + x2 + x3 + x4, a * (x2 - x4),
                         (x2 - x3) * (x2 - x4), b * (x2 - x3)]
-    assert not is_binomial_ideal(colon_generators)
+    assert not Ideal(R, colon_generators).is_binomial()
     _finish(4, t0, 5, "coupled differences: four expected primes; (I:(a,b)) not binomial")
 
 

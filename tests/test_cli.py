@@ -215,6 +215,14 @@ def test_two_cyclotomic_orders_in_separate_variables():
     assert "radical = y - z991, x - z997" in out
 
 
+def test_field_is_read_off_the_reduced_basis():
+    # the generator z3*x is not in the reduced basis (1), so no coefficient
+    # of the answer needs zeta 3
+    out = run("ring QQ[x]; ideal I = z3*x, 1; radical I;", json_mode=True)
+    (rec,) = json.loads(out)["results"]
+    assert rec["field"] == "QQ"
+
+
 def test_huge_exponents_stay_cheap():
     # a monomial power and a root-of-unity power never grow a numeral
     out = run("ring QQ[x]; ideal I = x^1000000000000 - z3^1000000000000; radical I;")

@@ -106,7 +106,8 @@ def test_five_prime_radical_ideal():
 def test_prime_passthrough():
     R = Ring(QQ, ["x", "y", "z"])
     P = Ideal(R, (R.var(0) - R.var(1),))
-    assert minimal_primes(P) == [P.canonical()]
+    assert minimal_primes(P) == [P]
+    assert localize(P, P, (0, 1, 2)) is P
     assert radical(P) == P
     comps = primary_decomposition(P)
     assert len(comps) == 1 and comps[0].ideal == P
@@ -379,7 +380,7 @@ def _localize_loop(i, j, cell, seen):
     ring = i.ring
     sigma = p_saturation(character_from_cellular(j, cell))
     min_primes = [character_prime_ideal(ring, s) for s in character_saturations(sigma)]
-    cur = i.canonical()
+    cur = Ideal(i.ring, i.gb().polys)
     for _ in range(200):
         if cur.is_unit():
             return cur
@@ -690,11 +691,12 @@ def test_primary_test_without_cell_decides_non_cellular_input():
 def test_zero_and_unit_edges():
     R = Ring(QQ, ["x", "y"])
     zero = Ideal(R)
-    assert radical(zero) == zero
+    assert radical(zero) is zero
     assert minimal_primes(zero) == [zero]
     comps = primary_decomposition(zero)
     assert len(comps) == 1 and comps[0].ideal.is_zero()
     unit = Ideal(R, (R.one,))
+    assert radical(unit) is unit
     assert primary_decomposition(unit) == []
     assert minimal_primes(unit) == []
 

@@ -232,13 +232,13 @@ def test_laurent_normal_form_constant():
 
 
 def test_is_binomial_ideal():
-    from binomials.ideals import Ideal, is_binomial_ideal
+    from binomials.ideals import Ideal
 
     R = Ring(QQ, ["x", "y", "z"])
     x, y, z = (R.var(i) for i in range(3))
-    assert is_binomial_ideal([x + y + z, y + z])  # GB is {x, y+z}
-    assert is_binomial_ideal([x * y - z])
-    assert not is_binomial_ideal([x + y + z])
+    assert Ideal(R, [x + y + z, y + z]).is_binomial()  # GB is {x, y+z}
+    assert Ideal(R, [x * y - z]).is_binomial()
+    assert not Ideal(R, [x + y + z]).is_binomial()
 
 
 def test_gf_coefficients():

@@ -21,7 +21,6 @@ from binomials.ideals import (
     homogenize,
     intersect,
     intersect_all,
-    is_binomial_ideal,
     nonzerodivisor_variables,
     quasi_power,
     quasi_power_ratio,
@@ -66,7 +65,7 @@ def test_saturate_and_colon_monomial(rxy):
     assert saturate_monomial(S, x) == S  # idempotent
     C = colon_monomial(I, x)
     assert S.contains(C) and C.contains(I)  # (I:m^inf) ⊇ (I:m) ⊇ I
-    assert is_binomial_ideal(C) and is_binomial_ideal(S)  # monomial colons preserve binomiality
+    assert C.is_binomial() and S.is_binomial()  # monomial colons preserve binomiality
 
 
 def test_cell_ideal_of_union():
@@ -95,6 +94,9 @@ def test_intersection_examples():
     assert intersect_all(primes, R) == I18
     assert intersect(I18, I18) == I18
     assert intersect(I18, primes[0]).contains(I18)
+    unit = Ideal(R, (R.one,))
+    assert intersect(I18, unit) is I18 and intersect(unit, primes[1]) is primes[1]
+    assert intersect_all([primes[0], unit], R) is primes[0]
 
 
 def test_union_of_two_hyperbolas_and_origin():
@@ -114,7 +116,7 @@ def test_union_of_two_hyperbolas_and_origin():
     # coloning (x1, x4) out of the union leaves the non-binomial pair
     col = intersect(colon_poly(expected, x1), colon_poly(expected, x4))
     assert col == both
-    assert not is_binomial_ideal(col)
+    assert not col.is_binomial()
 
 
 def test_homogenize(rxy):
@@ -220,7 +222,7 @@ def test_rotation_ratio_colon(rotation_ideal):
     R, I, (x1, x2, x3, y) = rotation_ideal
     out = colon_quasipower_ratio(I, y - R.one, 3, 1)
     assert out == Ideal(R, (x1 - x3, x2 - x3, x3 * y - x3))
-    assert colon_quasipower_ratio(I, y - R.one, 3, 3) == I
+    assert colon_quasipower_ratio(I, y - R.one, 3, 3) is I
     # cross-check against a general-colon oracle on the explicit ratio
     g = quasi_power_ratio(y - R.one, 3, 1)
     assert colon_poly(I, g) == out
@@ -422,7 +424,7 @@ def test_colon_by_monomial_ideal_breaks_binomiality():
         (x2 - x3) * (x2 - x4),
         b * (x2 - x3),
     ]
-    assert not is_binomial_ideal(variant)
+    assert not Ideal(R, variant).is_binomial()
 
 
 def test_monomial_saturation_matches_the_auxiliary_variable(monkeypatch):

@@ -10,19 +10,25 @@ recorded in `reference_digests.json` (`--json`) and
 session.  No new plain `assert` enters the engine, and no new caller of
 the auxiliary-variable primitives or of the residue-ring kernel's extended
 Euclid and square-and-multiply.  A finite field walks its unit group only
-in its table builder.
+in its table builder.  An ideal is one object: nothing in the engine copies
+it into a second one generated by its cached basis.  The README's quick
+example prints what it says it prints.
 """
 
 import ast
+import contextlib
 import hashlib
 import importlib
 import importlib.util
+import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 from binomials import cli as binomials_cli
+from binomials.ideals import Ideal
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -283,3 +289,40 @@ def test_one_walk_of_the_unit_group():
         assert not any(isinstance(n, loops) for n in ast.walk(methods[name])), name
     attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert not attributes & {"_dlog", "_gen"}
+
+
+def _copies_from_a_basis(call):
+    """Whether `call` is Ideal(<ring>, <x>.gb(...).polys)."""
+    if getattr(call.func, "id", None) != "Ideal" or len(call.args) < 2:
+        return False
+    gens = call.args[1]
+    return (isinstance(gens, ast.Attribute) and gens.attr == "polys"
+            and isinstance(gens.value, ast.Call) and getattr(gens.value.func, "attr", None) == "gb")
+
+
+def test_one_object_per_ideal():
+    """An operation with nothing to do returns its input, and an auxiliary
+    run reads the reduced basis the input already holds, so no engine code
+    rebuilds an ideal from its own cached basis."""
+    assert not hasattr(Ideal, "canonical")
+    copies = [
+        (path.name, ast.unparse(node))
+        for path in sorted(ENGINE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _copies_from_a_basis(node)
+    ]
+    assert copies == []
+
+
+README = SPANS.parents[1] / "README.md"
+
+
+def test_readme_quick_example_prints_its_comment_lines():
+    text = README.read_text()
+    code = re.search(r"Quick example:\n\n```python\n(.*?)```", text, re.S).group(1)
+    expected = [line[2:] for line in code.splitlines() if line.startswith("# ")]
+    assert expected
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == expected
