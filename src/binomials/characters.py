@@ -5,10 +5,13 @@ variables): its lattice sits in ZZ^cell and its values are stored on the HNF
 basis rows, so equal characters have equal representations.  The functions
 here realize the two-way correspondence with saturated binomial ideals and
 the saturation/extension calculus that drives every decomposition step.
+Questions about the primes of saturated characters on one cell are answered
+on the characters (ES Thm 2.1): P_rho ⊆ P_sigma exactly when sigma
+`extends` rho, so no prime ideal is built to compare two of them.
 """
 
 from itertools import product
-from math import lcm, prod
+from math import prod
 
 from . import checks
 from .errors import (
@@ -19,9 +22,9 @@ from .errors import (
     RootNotInField,
 )
 from .ideals import Ideal, cell_product, saturate_monomial
-from .intlattice import Lattice, hnf_with_transform, kernel, mat_mul, transpose
+from .intlattice import Lattice, hnf_with_transform
 from .poly import render_poly
-from .scalars import factorint, p_part, scalar_key, unit_decompose
+from .scalars import p_part, scalar_key
 
 
 def _evaluate(field, coefs, values):
@@ -98,6 +101,14 @@ class PartialCharacter:
 
     def is_saturated(self):
         return self.lattice.is_saturated()
+
+    def extends(self, other):
+        """Whether self restricts to other: other's basis rows lie in self's
+        lattice, and self takes other's values on them."""
+        return self.cell == other.cell and all(
+            row in self.lattice and self.value(row) == val
+            for row, val in zip(other.lattice.basis, other.values)
+        )
 
     def restricted(self, sublattice):
         """Restriction to a sublattice of the domain."""
@@ -355,55 +366,3 @@ def character_prime_ideal(ring, rho):
     outside = [v for v in range(ring.nvars) if v not in set(rho.cell)]
     gens = tuple(ring.var(v) for v in outside) + base.gens
     return Ideal(ring, gens)
-
-
-# ---------------------------------------------------------------------------
-# multiplicative relation lattices (used by `localize`)
-
-
-def relation_lattice(values, field):
-    """{a in ZZ^r : prod values_i^(a_i) = 1} as a Lattice."""
-    r = len(values)
-    if r == 0:
-        return Lattice(0)
-    if field.char:
-        m = field.units_order
-        e = [field.dlog(v) for v in values]
-        rows = kernel([e + [m]])
-        return Lattice(r, [row[:r] for row in rows])
-    decomps = [unit_decompose(v) for v in values]
-    ebig = 1
-    for _, o, _ in decomps:
-        ebig = lcm(ebig, o)
-    exps = [j * (ebig // o) for _, o, j in decomps]
-    primes = sorted({p for q, _, _ in decomps for p in factorint(q.numerator)} |
-                    {p for q, _, _ in decomps for p in factorint(q.denominator)})
-    vrows = []
-    for q, _, _ in decomps:
-        fn = factorint(q.numerator)
-        fd = factorint(q.denominator)
-        vrows.append([fn.get(p, 0) - fd.get(p, 0) for p in primes])
-    if primes:
-        k1 = kernel(transpose(vrows))
-    else:
-        k1 = [[int(i == j) for j in range(r)] for i in range(r)]
-    if not k1:
-        return Lattice(r)
-    ts = [sum(a * e for a, e in zip(row, exps)) % ebig for row in k1]
-    crows = kernel([ts + [ebig]])
-    rows = []
-    for c in crows:
-        rows.append([sum(c[j] * k1[j][i] for j in range(len(k1))) for i in range(r)])
-    return Lattice(r, rows)
-
-
-def agreement_lattice(sigma, rho):
-    """{m in L_sigma ∩ L_rho : sigma(m) = rho(m)}: where the characters agree."""
-    if sigma.cell != rho.cell:
-        raise BinomialsError("agreement lattice of characters on different cells")
-    l0 = sigma.lattice.intersection(rho.lattice)
-    if l0.rank == 0:
-        return l0
-    ratios = [sigma.value(row) / rho.value(row) for row in l0.basis]
-    rel = relation_lattice(ratios, sigma.field)
-    return Lattice(l0.ambient, mat_mul(rel.basis, l0.basis))

@@ -20,6 +20,11 @@ witness colons (I : x^m), one per standard monomial m, all come from
 `colon_monomial`, whose tree stays on the `Ideal`: when a hull's
 associated-prime scan finds no embedded prime, the primary test that
 certifies it reuses that scan's colons.
+
+`localize` decides on characters alone which associated primes of I lie in
+a minimal prime of J (P_rho ⊆ P_sigma' iff sigma' extends rho) and which
+polynomial separates an embedded one (a root-of-unity order or a lattice
+row), so it builds no prime ideal of J.
 """
 
 from itertools import combinations
@@ -29,7 +34,6 @@ from . import checks
 from .errors import BinomialsError, EscalationLimit
 from .characters import (
     PartialCharacter,
-    agreement_lattice,
     cell_character,
     character_from_cellular,
     character_prime_ideal,
@@ -53,8 +57,7 @@ from .ideals import (
     standard_monomials,
     nonzerodivisor_variables,
 )
-from .intlattice import Lattice
-from .scalars import scalar_order
+from .scalars import root_of_unity_order, scalar_order
 
 
 class CellularComponent:
@@ -378,52 +381,39 @@ def localize(i, j, cell):
     """I_(J): intersection of the primary components of I contained in a
     minimal prime of J (both cellular with respect to the same cell).
 
-    One scan of Ass(I) and one saturation.  For each embedded prime P_rho,
-    one lying in no minimal prime P_sigma' of J (sigma' a saturation of
-    sigma, the p-saturated character of J), pick a polynomial f_rho in
-    P_rho and in no P_sigma'; a prime holding an earlier f is skipped.
-    Then I : (∏ f_rho)^∞ keeps exactly the primary components whose primes
-    hold no f_rho (ES §6–7): those inside a minimal prime of J, since a
-    prime inside P_sigma' holds only what P_sigma' holds.  That is I_(J).
+    One scan of Ass(I) and one saturation.  The minimal primes of J are the
+    P_sigma' for sigma' a saturation of sigma, the p-saturated character of
+    J, and an associated prime P_rho of I lies inside one of them exactly
+    when sigma' extends rho.  Proof: let P = M_Z + I_+(·) on the cell Z;
+    then P_sigma' ∩ k[Z] = I_+(sigma'), and for a saturated sigma' the
+    binomial x^(m+) − c·x^(m−) lies in I_+(sigma') iff m is in L_sigma' and
+    c = sigma'(m).  I_+(rho) is its basis binomials saturated at the cell,
+    and I_+(sigma') is saturated, so P_rho ⊆ P_sigma' iff sigma' takes
+    rho's values on rho's basis rows.  No prime ideal of J is built.
 
-    Case 1, the agreement lattice of sigma and rho has finite index in
-    L_rho.  Take m in L_sigma ∩ L_rho with sigma(m) != rho(m),
-    b = x^(m+) − c·x^(m−) for c = sigma(m), and o the order of the root of
-    unity zeta = rho(m)/c (prime to p in char p, as is the order of every
-    root of unity there).  Then
-    f = b^[o]/b = sum over k < o of x^((o−1−k)·m+)·(c·x^(m−))^k.
-    Modulo P_rho, x^(m+) ≡ zeta·c·x^(m−), so
-    f ≡ (c·x^(m−))^(o−1)·sum_k zeta^(o−1−k) = 0.  Modulo P_sigma',
-    x^(m+) ≡ c·x^(m−), as m is in L_sigma ⊆ L_sigma', so
-    f ≡ o·(c·x^(m−))^(o−1), with o != 0 and x^(m−) outside the prime.
-
-    Case 2, infinite index.  Take m in L_rho of infinite order modulo the
-    agreement lattice and f = b = x^(m+) − rho(m)·x^(m−), which is in
-    P_rho.  If P_sigma' held b, then with sigma' saturated m would lie in
-    L_sigma' with sigma'(m) = rho(m); some g·m lies in L_sigma, where
-    sigma(g·m) = rho(m)^g = rho(g·m), so g·m would lie in the agreement
-    lattice, against the choice of m.
+    For each embedded prime P_rho, one extended by no sigma', pick a
+    polynomial f_rho in P_rho and in no P_sigma' (`_embedded_prime_poly`);
+    a prime holding an earlier f is skipped.  Then I : (∏ f_rho)^∞ keeps
+    exactly the primary components whose primes hold no f_rho (ES §6–7):
+    those inside a minimal prime of J, since a prime inside P_sigma' holds
+    only what P_sigma' holds.  That is I_(J), whichever valid f are picked.
 
     I_(J) of a cellular binomial ideal is binomial; that is checked.
     """
     ring = i.ring
     cell = tuple(sorted(cell))
     sigma = p_saturation(character_from_cellular(j, cell))
-    min_primes = [character_prime_ideal(ring, s) for s in character_saturations(sigma)]
+    sats = character_saturations(sigma)
     if i.is_unit():
         return i
     fs = []
     for rho in associated_prime_characters(i, cell):
-        p_ideal = character_prime_ideal(ring, rho)
-        if any(q.contains(p_ideal) for q in min_primes):
+        if any(s.extends(rho) for s in sats):
             continue
+        p_ideal = character_prime_ideal(ring, rho)
         if any(p_ideal.contains(f) for f in fs):
             continue
-        lat = agreement_lattice(sigma, rho)
-        if lat.rank == rho.lattice.rank:
-            fs.append(_finite_index_poly(sigma, rho, cell, ring))
-        else:
-            fs.append(_infinite_index_poly(rho, lat, cell, ring))
+        fs.append(_embedded_prime_poly(sigma, rho, cell, ring))
     if not fs:
         return i
     out = saturate_poly(i, prod(fs))
@@ -432,39 +422,48 @@ def localize(i, j, cell):
     return out
 
 
-def _finite_index_poly(sigma, rho, cell, ring):
-    """Case 1 of `localize`: b^[o]/b for the first basis row m of
-    L_sigma ∩ L_rho with sigma(m) != rho(m)."""
-    m = next(
-        (row for row in sigma.lattice.intersection(rho.lattice).basis
-         if sigma.value(row) != rho.value(row)),
-        None,
-    )
+def _embedded_prime_poly(sigma, rho, cell, ring):
+    """A polynomial in P_rho and in no P_sigma', for P_rho an embedded prime
+    of `localize` (no saturation sigma' of sigma extends rho).
+
+    Case 2, m a basis row of L_rho outside Sat(L_sigma) = L_sigma', or else
+    a basis row of L_0 = L_sigma ∩ L_rho on which sigma/rho is not a root of
+    unity.  f = b = x^(m+) − rho(m)·x^(m−) is in P_rho.  If P_sigma' held
+    b, m would lie in L_sigma' with sigma'(m) = rho(m); the first m lies
+    outside L_sigma', and the second lies in L_sigma, so sigma'(m) =
+    sigma(m) ≠ rho(m).
+
+    Case 1, otherwise: L_rho lies in Sat(L_sigma), so L_0 has finite index
+    in L_rho, and sigma/rho is a root of unity on all of L_0.  These are
+    exactly the conditions for the agreement lattice {m in L_0 : sigma(m) =
+    rho(m)} to have finite index in L_rho.  Take the first basis row m of L_0
+    with sigma(m) != rho(m); one exists, or some sigma' would extend rho.
+    Let b = x^(m+) − c·x^(m−) for c = sigma(m), and o the order of the root
+    of unity zeta = rho(m)/c (prime to p in char p, as is the order of every
+    root of unity there).  Then
+    f = b^[o]/b = sum over k < o of x^((o−1−k)·m+)·(c·x^(m−))^k.
+    Modulo P_rho, x^(m+) ≡ zeta·c·x^(m−), so
+    f ≡ (c·x^(m−))^(o−1)·sum_k zeta^(o−1−k) = 0.  Modulo P_sigma',
+    x^(m+) ≡ c·x^(m−), as m is in L_sigma ⊆ L_sigma', so
+    f ≡ o·(c·x^(m−))^(o−1), with o != 0 and x^(m−) outside the prime.
+    """
+    field = ring.field
+    sat = sigma.lattice.saturation()
+    m = next((row for row in rho.lattice.basis if row not in sat), None)
+    l0 = sigma.lattice.intersection(rho.lattice).basis
     if m is None:
-        raise BinomialsError("agreement lattice computation is inconsistent")
+        m = next((row for row in l0 if root_of_unity_order(
+            sigma.value(row) / rho.value(row), field) is None), None)
+    if m is not None:
+        return lattice_binomial(ring, cell, m, rho.value(m))
+    m = next((row for row in l0 if sigma.value(row) != rho.value(row)), None)
+    if m is None:
+        raise BinomialsError("embedded prime is extended by a saturation of sigma")
     c = sigma.value(m)
-    ratio = rho.value(m) / c
-    o = 1
-    acc = ratio
-    while acc != ring.field.one:
-        acc = acc * ratio
-        o += 1
-        if o > 10_000:
-            raise EscalationLimit("root of unity order out of range")
+    o = root_of_unity_order(rho.value(m) / c, field)
+    if o > 10_000:
+        raise EscalationLimit("root of unity order out of range")
     return quasi_power_ratio(lattice_binomial(ring, cell, m, c), o, 1)
-
-
-def _infinite_index_poly(rho, lat, cell, ring):
-    """Case 2 of `localize`: the rho-binomial of the first basis row of
-    L_rho outside the saturation of the agreement lattice `lat`."""
-    sat = lat.saturation() if lat.rank else Lattice(len(cell))
-    m = next(
-        (row for row in rho.lattice.basis if sat.rank == 0 or list(row) not in sat),
-        None,
-    )
-    if m is None:
-        raise BinomialsError("no infinite-order direction found")
-    return lattice_binomial(ring, cell, m, rho.value(m))
 
 
 def hull(i):

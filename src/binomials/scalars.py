@@ -313,8 +313,8 @@ def _make(n, coeffs):
 class CycloElement:
     """Element of QQ(zeta_N) in the power basis 1, z, ..., z^(phi(N)-1).
 
-    The stored order is not forced to be minimal; ``normalized`` returns the
-    canonical minimal-order representative.
+    The stored order is not forced to be minimal; ``key`` reads the minimal
+    order and the coefficients there.
     """
 
     __slots__ = ("order", "coeffs", "_key")
@@ -417,11 +417,6 @@ class CycloElement:
         if not self.is_rational():
             raise ValueError("not rational")
         return self.coeffs[0]
-
-    def normalized(self):
-        """Equal element stored at the minimal cyclotomic order."""
-        n, coeffs = self._minimal()
-        return _make(n, coeffs)
 
     def key(self):
         """Hashable canonical form (minimal order, coefficient tuple)."""
@@ -544,6 +539,23 @@ def unit_decompose(a):
             return (q, e // g, j // g)
         power = power * zz
     raise RootNotCyclotomic(f"{render_scalar(a)} is not rational times a root of unity")
+
+
+def root_of_unity_order(z, field):
+    """The order of z as a root of unity, or None when z is none.
+
+    In GF(q) every unit is one, of order m / gcd(dlog z, m) for m = q − 1.
+    In char 0 `unit_decompose` writes z = q·zeta_o^j with q > 0 rational,
+    and z is a root of unity exactly when q = 1; a z of no such form is none.
+    """
+    if field.char:
+        m = field.units_order
+        return m // gcd(field.dlog(z), m)
+    try:
+        q, o, _ = unit_decompose(z)
+    except RootNotCyclotomic:
+        return None
+    return o if q == 1 else None
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from f5_oracle import all_ideal_generating_sets
 from binomials.characters import (
     PartialCharacter,
-    agreement_lattice,
     cell_character,
     character_from_cellular,
     character_prime_ideal,
@@ -20,7 +19,6 @@ from binomials.characters import (
     laurent_multiplicity,
     laurent_primary_decomposition,
     p_saturation,
-    relation_lattice,
 )
 from binomials import ideals, intlattice
 from binomials.decompose import cellular_decomposition
@@ -378,25 +376,6 @@ def test_lattice_ideal_codimension():
     assert back.lattice.rank == 2
     # independent sets: {z} alone is free mod I, so dim >= 1 = 3 - rank
     assert not I.contains(R.var(2) ** 2 - R.var(2))
-
-
-def test_relation_lattice():
-    assert relation_lattice([Fraction(2), Fraction(4)], QQ) == Lattice(2, [[2, -1]])
-    rel = relation_lattice([zeta(4), Fraction(-1)], QQ)
-    for row in rel.basis:
-        assert zeta(4) ** row[0] * Fraction(-1) ** row[1] == 1
-    assert rel.quotient_order() == 4
-    F7 = FiniteField(7)
-    rel7 = relation_lattice([F7.scalar(2), F7.scalar(4)], F7)
-    for row in rel7.basis:
-        assert F7.scalar(2) ** row[0] * F7.scalar(4) ** row[1] == F7.one
-
-
-def test_agreement_lattice():
-    sig = PartialCharacter((0,), Lattice(1, [[1]]), (Fraction(1),), QQ)
-    rho = PartialCharacter((0,), Lattice(1, [[1]]), (Fraction(-1),), QQ)
-    assert agreement_lattice(sig, rho) == Lattice(1, [[2]])
-    assert agreement_lattice(sig, sig) == Lattice(1, [[1]])
 
 
 def test_extension_enumeration_deterministic():

@@ -284,12 +284,13 @@ def test_cli_entrypoint_subprocess():
 
 
 def test_verify_flag_adds_certificates():
-    out = run("ring QQ[x,y]; ideal I = x^2-x*y; radical I; minprimes I;",
+    out = run("ring QQ[x,y]; ideal I = x^2-x*y; radical I; minprimes I; primary I;",
               verify=True, json_mode=True)
     doc = json.loads(out)
-    rad, mp = doc["results"]
+    rad, mp, pd = doc["results"]
     assert rad["certificates"]["contains_input"] is True
     assert mp["certificates"]["intersection_is_radical"] is True
+    assert pd["certificates"] == {"intersection_verified": True, "primary_certified": True}
 
 
 def test_cellular_json_includes_exponents():

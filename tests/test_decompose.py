@@ -7,7 +7,6 @@ import pytest
 from binomials import decompose
 from binomials.characters import (
     PartialCharacter,
-    agreement_lattice,
     character_from_cellular,
     character_prime_ideal,
     character_saturations,
@@ -139,8 +138,6 @@ def test_broken_invariants_raise_typed_errors(monkeypatch, coupled_differences):
             radical(coupled_differences)
     with pytest.raises(BinomialsError, match="one value per basis row"):
         PartialCharacter((0,), Lattice(1, [[2]]), (), R.field)
-    with pytest.raises(BinomialsError, match="different cells"):
-        agreement_lattice(rho, PartialCharacter.from_generators((1,), [[2]], [R.field.one], R.field))
     with pytest.raises(BinomialsError, match="does not contain the lattice"):
         characters.extend_all(rho, Lattice(1, [[3]]))
     with monkeypatch.context() as patch:
@@ -329,9 +326,40 @@ def test_localize_finite_index_case():
     assert out2 == Ideal(R, (x + 1,))
 
 
+def test_localize_non_root_of_unity_case():
+    # J = (u, x - 2) and the embedded prime (u, x - 1) of I share the
+    # lattice Z, where their characters differ by 2, not a root of unity:
+    # Case 2 with the rho-binomial x - 1 of the row of L_0
+    R = Ring(QQ, ["x", "u"])
+    x, u = R.var(0), R.var(1)
+    I = Ideal(R, (u**2, u * (x - 1)))
+    J = Ideal(R, (u, x - 2))
+    seen = {}
+    assert localize(I, J, (0,)) == _localize_loop(I, J, (0,), seen) == Ideal(R, (u,))
+    assert seen["cases"] == {2}
+    sigma = character_from_cellular(J, (0,))
+    rho = character_from_cellular(Ideal(R, (u, x - 1)), (0,))
+    assert decompose._embedded_prime_poly(sigma, rho, (0,), R) == x - 1
+    # with rho as sigma, the character of (u, x + 1) differs from it by -1,
+    # a root of unity of order 2: Case 1, b^[2]/b = x + 1 for b = x - 1
+    minus = character_from_cellular(Ideal(R, (u, x + 1)), (0,))
+    assert decompose._embedded_prime_poly(rho, minus, (0,), R) == x + 1
+
+
 def _ladder(k):
     """lcm(1..k), the exponent ladder of the old colon loop."""
     return lcm(*range(1, k + 1))
+
+
+def _brute_order(z, one, bound=10_000):
+    """The least k <= bound with z^k = 1, or None: z's order as a root of
+    unity, found by multiplying."""
+    acc = z
+    for k in range(1, bound + 1):
+        if acc == one:
+            return k
+        acc = acc * z
+    return None
 
 
 def _case_1_colon_ladder(cur, sigma, rho, cell):
@@ -343,8 +371,7 @@ def _case_1_colon_ladder(cur, sigma, rho, cell):
     m = next(row for row in l0.basis if sigma.value(row) != rho.value(row))
     c = sigma.value(m)
     b = lattice_binomial(ring, cell, m, c)
-    ratio = rho.value(m) / c
-    o = next(k for k in range(1, 10_001) if ratio**k == ring.field.one)
+    o = _brute_order(rho.value(m) / c, ring.field.one)
     for k in range(1, MAX_ESCALATION + 1):
         d = o * _ladder(k)
         out = colon_quasipower_ratio(cur, b, d, p_part(d, ring.field.char))
@@ -353,13 +380,11 @@ def _case_1_colon_ladder(cur, sigma, rho, cell):
     raise EscalationLimit("finite-index colon failed to progress")
 
 
-def _case_2_colon_ladder(cur, rho, lat, cell):
-    """Case 2 of the reference loop: colon by b^[d] up the ladder, accepting
-    out = (cur : b^[d]) once it is binomial, equal to (out : b^[d]) and
-    different from cur."""
+def _case_2_colon_ladder(cur, rho, m, cell):
+    """Case 2 of the reference loop: colon by b^[d] up the ladder, for b the
+    rho-binomial of m, accepting out = (cur : b^[d]) once it is binomial,
+    equal to (out : b^[d]) and different from cur."""
     ring = cur.ring
-    sat = lat.saturation() if lat.rank else Lattice(len(cell))
-    m = next(row for row in rho.lattice.basis if sat.rank == 0 or list(row) not in sat)
     b = lattice_binomial(ring, cell, m, rho.value(m))
     for k in range(1, MAX_ESCALATION + 1):
         bd = quasi_power(b, _ladder(k))
@@ -376,8 +401,15 @@ def _case_2_colon_ladder(cur, rho, lat, cell):
 def _localize_loop(i, j, cell, seen):
     """Reference for `localize`: the Noetherian loop, which re-scans Ass(cur)
     each round and colons the first embedded prime away.  Adds to `seen` the
-    cases taken and the embedded primes of the first round."""
+    cases taken and the embedded primes of the first round.
+
+    The embedded primes are found by ideal containment and the case by
+    brute force: Case 1 when L_0 = L_sigma ∩ L_rho has the rank of L_rho and
+    sigma/rho has a finite order on every basis row of L_0; otherwise Case 2
+    with m a basis row of L_rho outside Sat(L_0), or else a basis row of L_0
+    of infinite order."""
     ring = i.ring
+    one = ring.field.one
     sigma = p_saturation(character_from_cellular(j, cell))
     min_primes = [character_prime_ideal(ring, s) for s in character_saturations(sigma)]
     cur = Ideal(i.ring, i.gb().polys)
@@ -392,13 +424,17 @@ def _localize_loop(i, j, cell, seen):
             return cur
         seen.setdefault("embedded", len(embedded))
         rho = embedded[0]
-        lat = agreement_lattice(sigma, rho)
-        if lat.rank == rho.lattice.rank:
+        l0 = sigma.lattice.intersection(rho.lattice)
+        infinite = [row for row in l0.basis
+                    if _brute_order(sigma.value(row) / rho.value(row), one) is None]
+        if l0.rank == rho.lattice.rank and not infinite:
             seen.setdefault("cases", set()).add(1)
             cur = _case_1_colon_ladder(cur, sigma, rho, cell)
         else:
             seen.setdefault("cases", set()).add(2)
-            cur = _case_2_colon_ladder(cur, rho, lat, cell)
+            sat = l0.saturation()
+            outside = [row for row in rho.lattice.basis if row not in sat]
+            cur = _case_2_colon_ladder(cur, rho, (outside + infinite)[0], cell)
     raise EscalationLimit("localization loop failed to terminate")
 
 
@@ -501,6 +537,38 @@ def test_localize_scans_and_saturates_once(monkeypatch):
         calls.update(ass=0, sat=0)
         localize(i, j, cell)
         assert calls["ass"] == 1 and calls["sat"] <= 1, (i, j, calls)
+
+
+def test_extends_matches_prime_containment():
+    # P_rho ⊆ P_s exactly when s extends rho (ES Thm 2.1), for the minimal
+    # primes of J and the associated primes of I on the cell
+    verdicts = []
+    for i, j, cell in _localization_inputs():
+        ring = i.ring
+        sats = character_saturations(p_saturation(character_from_cellular(j, cell)))
+        chars = {c.key(): c for c in sats + associated_prime_characters(i, cell)}
+        primes = {k: character_prime_ideal(ring, c) for k, c in chars.items()}
+        for s in sats:
+            for k, rho in chars.items():
+                want = primes[s.key()].contains(primes[k])
+                assert s.extends(rho) == want, (s, rho)
+                verdicts.append(want)
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50, len(verdicts)
+
+
+def test_localize_builds_no_prime_ideal_of_j(monkeypatch):
+    calls = []
+
+    def counted(ring, rho):
+        calls.append(rho)
+        return character_prime_ideal(ring, rho)
+
+    monkeypatch.setattr(decompose, "character_prime_ideal", counted)
+    R = Ring(QQ, ["x", "y", "z"])
+    x, y, z = (R.var(v) for v in range(3))
+    for P in (Ideal(R, (x - y,)), Ideal(R, (x - y, y**2 - z))):
+        assert localize(P, P, (0, 1, 2)) is P
+    assert calls == []
 
 
 def _frobenius_power(p_ideal, q):

@@ -29,6 +29,7 @@ from binomials.scalars import (
     factorint,
     is_prime,
     render_scalar,
+    root_of_unity_order,
     scalar_key,
     unit_decompose,
     zeta,
@@ -92,6 +93,21 @@ def test_root_of_unity_char_p():
     roots = F25.dth_roots(F25.one, 3)
     assert len(set(roots)) == 3
     assert all(w**3 == F25.one for w in roots) and F25.one in roots
+
+
+def test_root_of_unity_order_matches_brute_force():
+    for field in (FiniteField(7), FiniteField(2, 3), FiniteField(5, 2)):
+        for z in field.elements()[1:]:
+            order = next(k for k in range(1, field.units_order + 1) if z**k == field.one)
+            assert root_of_unity_order(z, field) == order
+    for k in range(12):
+        z = zeta(12, k)
+        order = next(e for e in range(1, 13) if z**e == 1)
+        assert root_of_unity_order(z, QQ) == order == 12 // gcd(k, 12)
+    assert root_of_unity_order(Fraction(-1), QQ) == 2
+    assert root_of_unity_order(Fraction(2), QQ) is None
+    assert root_of_unity_order(2 * zeta(3), QQ) is None
+    assert root_of_unity_order(1 + zeta(4), QQ) is None  # not rational times a root
 
 
 def test_dth_root_rational():
