@@ -360,9 +360,10 @@ def character_from_cellular(i, cell):
     return rho
 
 
-def character_prime_ideal(ring, rho):
-    """M(cell) + I_+(rho): the prime/cellular ideal attached to a character."""
-    base = ideal_from_character(ring, rho)
+def character_prime_ideal(ring, rho, base=None):
+    """M(cell) + I_+(rho): the prime/cellular ideal attached to a character;
+    base is I_+(rho) when the caller has already built it."""
+    base = ideal_from_character(ring, rho) if base is None else base
     outside = [v for v in range(ring.nvars) if v not in set(rho.cell)]
     gens = tuple(ring.var(v) for v in outside) + base.gens
     return Ideal(ring, gens)

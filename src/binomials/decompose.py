@@ -308,16 +308,16 @@ def primary_test(i, cell=None):
     cell = tuple(sorted(cell))
     off = [v for v in range(ring.nvars) if v not in set(cell)]
     sigma = p_saturation(character_from_cellular(i, cell))
-    rad = character_prime_ideal(ring, sigma)
     if not sigma.is_saturated():
         sats = character_saturations(sigma)
         w1 = character_prime_ideal(ring, sats[0])
         w2 = character_prime_ideal(ring, sats[1])
         return PrimaryTestReport(
-            False, rad, sigma, (w1, w2), "radical is not prime"
+            False, character_prime_ideal(ring, sigma), sigma, (w1, w2), "radical is not prime"
         )
     _, maximal = standard_monomials(i, off)
     sigma_ideal = ideal_from_character(ring, sigma)
+    rad = character_prime_ideal(ring, sigma, sigma_ideal)
     for m in maximal:
         if not any(m):
             continue
@@ -578,7 +578,12 @@ def primary_decomposition(i):
         report = primary_test(pc.ideal, pc.cell)
         if not report.primary:
             raise BinomialsError("component failed the primary certificate")
-        if report.radical != pc.prime:
+        # the radical is P_sigma and the prime P_char, both characters
+        # saturated on their cells (sigma is, since the test passed): by ES
+        # Thm 2.1 two such primes are equal exactly when the characters are,
+        # and a character's key is its cell, its lattice's Hermite basis and
+        # the canonical keys of its values, so no Groebner run compares them
+        if report.sigma != pc.char:
             raise BinomialsError("component radical differs from its prime")
     return comps
 

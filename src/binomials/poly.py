@@ -7,7 +7,6 @@ order is active.
 """
 
 from fractions import Fraction
-from math import lcm
 from operator import add, itemgetter, le, neg, sub
 
 from .errors import EscalationLimit, FieldMismatch, ParseError, UnknownVariable
@@ -24,10 +23,6 @@ def mono_divides(a, b):
 
 def mono_div(a, b):
     return tuple(map(sub, a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(map(max, a, b))
 
 
 def mono_deg(a):
@@ -443,9 +438,10 @@ def _growth_bits(c):
     a char-0 constant c: log2, rounded down, of the larger of the common
     denominator and the summed numerators of c's coefficients (0 for ±1 and
     for a zN token)."""
-    coeffs = c.coeffs if isinstance(c, CycloElement) else (Fraction(c),)
-    den = lcm(*(q.denominator for q in coeffs))
-    num = sum(abs(q.numerator) * (den // q.denominator) for q in coeffs)
+    if isinstance(c, CycloElement):
+        num, den = sum(map(abs, c.num)), c.den
+    else:
+        num, den = map(abs, Fraction(c).as_integer_ratio())
     return max(num, den).bit_length() - 1
 
 

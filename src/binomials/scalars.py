@@ -16,6 +16,16 @@ is that one Euclid, and Rabin's irreducibility test is its coprimality check.
 ``power`` is the one square-and-multiply, for scalars, polynomials and the
 powers of z in Rabin's test.
 
+A ``CycloElement`` holds integer numerators over one positive denominator,
+in lowest terms.  A product is ``_mulmod`` on the numerators, which stay
+integers because Phi_N is monic, over the product of the denominators; a
+sum cross-multiplies.  Two orders meet at their lcm m, where the integer
+rows of ``_embedding`` (the powers of zeta_m that the basis of QQ(zeta_n)
+becomes) lift the numerators.  A lift keeps lowest terms: Z[zeta_m] is free
+over Z[zeta_n] on a basis that contains 1, so a prime dividing every lifted
+numerator divides every original one.  Equal elements therefore have equal
+denominators, and at one order equal numerators.
+
 Each finite field keeps one table of its unit group, built on first use by
 walking the powers of a generator g with the kernel: exp[i] = g^i, the log of
 each element, and the Zech logarithms log(1 + g^i).  In a field of at most
@@ -255,16 +265,16 @@ def _modulus(order):
 
 
 def _zeta_power(order, e):
-    """Coefficient tuple of z^e (e >= 0) in the power basis of QQ(zeta_N)."""
-    rem = _divmod_monic([0] * e + [1], _modulus(order))[1]
-    return tuple(Fraction(c) for c in rem)
+    """Integer coefficients of z^e (e >= 0) in the power basis of QQ(zeta_N):
+    Phi_N is monic, so dividing by it keeps them integers."""
+    return tuple(_divmod_monic([0] * e + [1], _modulus(order))[1])
 
 
 _EMBED_CACHE = {}
 
 
 def _embedding(n, m):
-    """Rows: coefficients of each QQ(zeta_n) basis power inside QQ(zeta_m)."""
+    """Rows: integer coefficients of each QQ(zeta_n) basis power inside QQ(zeta_m)."""
     key = (n, m)
     rows = _EMBED_CACHE.get(key)
     if rows is None:
@@ -275,98 +285,104 @@ def _embedding(n, m):
     return rows
 
 
-def _as_cyclo_pair(a, b):
-    """Lift two char-0 scalars to a common cyclotomic order."""
-    na = a.order if isinstance(a, CycloElement) else 1
-    nb = b.order if isinstance(b, CycloElement) else 1
-    n = lcm(na, nb)
-    return _lift(a, n), _lift(b, n), n
-
-
-def _lift(a, n):
-    if n == 1:
-        return a if isinstance(a, Fraction) else Fraction(a)
-    if isinstance(a, CycloElement):
-        if a.order == n:
-            return a.coeffs
-        rows = _embedding(a.order, n)
-        deg = euler_phi(n)
-        out = [Fraction(0)] * deg
-        for c, row in zip(a.coeffs, rows):
-            if c:
-                for j in range(deg):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return tuple(out)
-    out = [Fraction(0)] * euler_phi(n)
-    out[0] = Fraction(a)
+def _numerators(a, n):
+    """The numerators of the CycloElement a at order n, a multiple of its own,
+    over a's denominator, still in lowest terms (see the module docstring)."""
+    if a.order == n:
+        return a.num
+    rows = _embedding(a.order, n)
+    out = [0] * len(rows[0])
+    for c, row in zip(a.num, rows):
+        if c:
+            for j, r in enumerate(row):
+                if r:
+                    out[j] += c * r
     return tuple(out)
 
 
-def _make(n, coeffs):
-    """Build a scalar from power-basis coefficients over QQ(zeta_n)."""
-    if n == 1:
-        return coeffs if isinstance(coeffs, Fraction) else coeffs[0]
-    return CycloElement(n, tuple(coeffs))
+def _make(n, num, den):
+    """The element num/den of QQ(zeta_n), brought to lowest terms."""
+    g = gcd(den, *num)
+    if g != 1:
+        num, den = [x // g for x in num], den // g
+    out = CycloElement.__new__(CycloElement)
+    out.order, out.num, out.den, out._key = n, tuple(num), den, None
+    return out
 
 
 class CycloElement:
     """Element of QQ(zeta_N) in the power basis 1, z, ..., z^(phi(N)-1).
 
-    The stored order is not forced to be minimal; ``key`` reads the minimal
-    order and the coefficients there.
+    It holds integer numerators ``num`` over one positive denominator ``den``
+    in lowest terms (gcd(den, *num) = 1), so equal elements of one order have
+    equal fields.  The constructor takes a tuple of rational coefficients,
+    and ``coeffs`` gives them back.  The stored order is not forced to be
+    minimal; ``key`` reads the minimal order and the coefficients there.
     """
 
-    __slots__ = ("order", "coeffs", "_key")
+    __slots__ = ("order", "num", "den", "_key")
 
     def __init__(self, order, coeffs):
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
         self.order = order
-        self.coeffs = coeffs
+        self.num = tuple([c.numerator * (den // c.denominator) for c in coeffs])
+        self.den = den
         self._key = None
+
+    @property
+    def coeffs(self):
+        return tuple([Fraction(x, self.den) for x in self.num])
 
     # -- ring structure
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = Fraction(other)
-        if not isinstance(other, (Fraction, CycloElement)):
+        if isinstance(other, CycloElement):
+            n = self.order if other.order == self.order else lcm(self.order, other.order)
+            a, b = _numerators(self, n), _numerators(other, n)
+            da, db = self.den, other.den
+            if da == db:
+                return _make(n, [x + y for x, y in zip(a, b)], da)
+            return _make(n, [x * db + y * da for x, y in zip(a, b)], da * db)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        ca, cb, n = _as_cyclo_pair(self, other)
-        if n == 1:
-            return ca + cb
-        return _make(n, tuple(x + y for x, y in zip(ca, cb)))
+        p, q = other.numerator, other.denominator
+        num = [x * q for x in self.num]
+        num[0] += p * self.den
+        return _make(self.order, num, self.den * q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElement(self.order, tuple(-c for c in self.coeffs))
+        return _make(self.order, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, CycloElement) else -Fraction(other) if isinstance(other, int) else -other)
+        if not isinstance(other, (int, Fraction, CycloElement)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = Fraction(other)
-        if isinstance(other, Fraction):
-            if not other:
-                return Fraction(0)
-            return CycloElement(self.order, tuple(c * other for c in self.coeffs))
-        if not isinstance(other, CycloElement):
+        if isinstance(other, CycloElement):
+            n = self.order if other.order == self.order else lcm(self.order, other.order)
+            prod = _mulmod(_numerators(self, n), _numerators(other, n), _modulus(n))
+            return _make(n, prod, self.den * other.den)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        ca, cb, n = _as_cyclo_pair(self, other)
-        if n == 1:
-            return ca * cb
-        return _make(n, _mulmod(ca, cb, _modulus(n)))
+        if not other:
+            return Fraction(0)
+        p, q = other.numerator, other.denominator
+        return _make(self.order, [x * p for x in self.num], self.den * q)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self:
             raise DivisionByZero("inverse of zero")
-        return _make(self.order, _inverse_mod(self.coeffs, _modulus(self.order)))
+        inv = _inverse_mod(self.num, _modulus(self.order))  # of num, so times den
+        return CycloElement(self.order, [c * self.den for c in inv])
 
     def __truediv__(self, other):
         if isinstance(other, int):
@@ -388,18 +404,18 @@ class CycloElement:
         return power(self, e, Fraction(1))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = Fraction(other)
-        if isinstance(other, Fraction):
-            return self.coeffs[0] == other and not any(self.coeffs[1:]) if self.order == 1 else self.is_rational() and self.rational_value() == other
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational() and (self.num[0], self.den) == other.as_integer_ratio()
         if isinstance(other, CycloElement):
+            if other.den != self.den:
+                return False
             if other.order == self.order:
-                return self.coeffs == other.coeffs
-            ca, cb, _ = _as_cyclo_pair(self, other)
-            return ca == cb
+                return self.num == other.num
+            n = lcm(self.order, other.order)
+            return _numerators(self, n) == _numerators(other, n)
         return NotImplemented
 
     def __hash__(self):
@@ -411,12 +427,12 @@ class CycloElement:
     # -- structure helpers
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError("not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def key(self):
         """Hashable canonical form (minimal order, coefficient tuple)."""
@@ -426,11 +442,11 @@ class CycloElement:
 
     def _minimal(self):
         for m in divisors(self.order)[:-1]:
-            sol = _solve_fraction_system(_embedding(m, self.order), self.coeffs)
+            sol = _solve_fraction_system(_embedding(m, self.order), self.num)
             if sol is not None:
-                return (m, tuple(sol))
+                return (m, tuple([c / self.den for c in sol]))
         # at m = N the element is its own representative
-        return (self.order, tuple(Fraction(c) for c in self.coeffs))
+        return (self.order, self.coeffs)
 
 
 def _solve_fraction_system(rows, target):
@@ -489,7 +505,7 @@ def zeta(n, j=1):
         return Fraction(1)
     if n == 2:
         return Fraction(-1)
-    return CycloElement(n, _zeta_power(n, j))
+    return _make(n, _zeta_power(n, j), 1)
 
 
 def scalar_order(a):
@@ -793,7 +809,9 @@ class FiniteFieldElement:
             return self.field.scalar(other)
         return None
 
-    def __add__(self, other):
+    def __add__(self, other, negate=False):
+        """self + other, or self - other when negate: one coercion, and in
+        the table case one Zech step, with -g^b = g^(b + m/2) for odd p."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -802,12 +820,17 @@ class FiniteFieldElement:
         if m < MAX_TABLE_ORDER:  # g^a + g^b = g^(a + log(1 + g^(b - a)))
             exp, log, zech = f._table
             a, b = log[self.coeffs], log[o.coeffs]
-            if a is None or b is None:
-                return o if a is None else self
+            if b is None:
+                return self
+            if negate and f.p > 2:
+                b = (b + m // 2) % m
+            if a is None:
+                return exp[b]
             z = zech[(b - a) % m]
             return f.zero if z is None else exp[(a + z) % m]
+        s = -1 if negate else 1
         return FiniteFieldElement(
-            f, tuple((a + b) % f.p for a, b in zip(self.coeffs, o.coeffs))
+            f, tuple((a + s * b) % f.p for a, b in zip(self.coeffs, o.coeffs))
         )
 
     __radd__ = __add__
@@ -821,10 +844,7 @@ class FiniteFieldElement:
         return FiniteFieldElement(f, tuple((-a) % f.p for a in self.coeffs))
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self.__add__(other, True)
 
     def __rsub__(self, other):
         return (-self) + other

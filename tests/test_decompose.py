@@ -556,6 +556,23 @@ def test_extends_matches_prime_containment():
     assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50, len(verdicts)
 
 
+def test_certificate_compares_characters_like_prime_ideals():
+    # primary_decomposition checks each component's radical by comparing the
+    # test's saturated character with the component's: by ES Thm 2.1 that
+    # equals comparing the prime ideals, with no Groebner run
+    verdicts = []
+    for i in [i for i, j, _ in _localization_inputs() if j is i]:
+        comps = primary_decomposition(i)
+        for pc in comps:
+            report = primary_test(pc.ideal, pc.cell)
+            assert report.primary and report.sigma.is_saturated()
+            for other in comps:
+                same = report.sigma == other.char
+                assert same == (report.radical == other.prime), (i, pc.char, other.char)
+                verdicts.append(same)
+    assert verdicts.count(True) >= 80 and verdicts.count(False) >= 150, len(verdicts)
+
+
 def test_localize_builds_no_prime_ideal_of_j(monkeypatch):
     calls = []
 

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from binomials import groebner
 from binomials.groebner import groebner_basis
 from binomials.poly import (
     DEGREVLEX,
@@ -10,7 +13,6 @@ from binomials.poly import (
     elim_order,
     mono_div,
     mono_divides,
-    mono_lcm,
     mono_mul,
     render_poly,
 )
@@ -45,7 +47,7 @@ def naive_buchberger(gens, order):
         gi, gj = basis[i], basis[j]
         lmi, lci = gi.lt(order)
         lmj, lcj = gj.lt(order)
-        l = mono_lcm(lmi, lmj)
+        l = tuple(map(max, lmi, lmj))
         s = gi.mul_term(mono_div(l, lmi), 1 / lci) - gj.mul_term(mono_div(l, lmj), 1 / lcj)
         r = naive_reduce(s, basis, order)
         if r.terms:
@@ -305,7 +307,6 @@ def test_monomial_helpers_match_reference():
             a = tuple(rnd.randint(0, 4) for _ in range(n))
             b = tuple(rnd.randint(0, 4) for _ in range(n))
             assert mono_mul(a, b) == tuple(x + y for x, y in zip(a, b))
-            assert mono_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
             assert mono_divides(a, b) == all(x <= y for x, y in zip(a, b))
             ab = mono_mul(a, b)
             assert mono_div(ab, b) == a and mono_divides(b, ab)
@@ -316,3 +317,109 @@ def test_unit_ideal_detection():
     x = R.var(0)
     gb = groebner_basis([x - 1, x - 2], DEGREVLEX, R)
     assert gb.is_trivial
+
+
+# -- the packed monomial kernel ------------------------------------------------
+
+
+def packed_reference(order, n, w):
+    """Tuple references for one layout: fields of w bits, the top
+    bitlen(n) + 1 of them guard bits, so an exponent fits below 2^v."""
+    return w - n.bit_length() - 1, reference_key(order, n)
+
+
+def test_packed_kernel_matches_tuple_reference():
+    rnd = random.Random(27)
+    checked_pairs = 0
+    for n in range(1, 7):
+        for order in orders_in(n, rnd):
+            for w in (n.bit_length() + 2, n.bit_length() + 4, 13):
+                pk = groebner._packing(order, n, w)
+                v, ref = packed_reference(order, n, w)
+                top = (1 << v) - 1
+                for _ in range(40):
+                    # exponents near the field's top, so products overflow often
+                    a, b = (tuple(rnd.choice((0, 1, top // 2, top - 1, top, rnd.randint(0, top)))
+                                  for _ in range(n)) for _ in range(2))
+                    pa, pb = pk.pack(a), pk.pack(b)
+                    assert pk.unpack(pa) == a and pa & pk.guard == 0
+                    assert (pk.key(pa) < pk.key(pb)) == (ref(a) < ref(b)), (order, w, a, b)
+                    assert (pk.key(pa) == pk.key(pb)) == (a == b)
+                    assert pk.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+                    assert pk.unpack(pk.lcm(pa, pb)) == tuple(map(max, a, b))
+                    assert pa % pk.mod == sum(a)
+                    s = tuple(x + y for x, y in zip(a, b))
+                    assert bool((pa + pb) & pk.guard) == (max(s, default=0) > top), (w, a, b)
+                    if max(s, default=0) <= top:
+                        assert pk.unpack(pa + pb) == s and pk.unpack(pa + pb - pb) == a
+                        assert pk.key(pa + pb) == pk.key(pa) + pk.key(pb)
+                    checked_pairs += 1
+    assert checked_pairs > 10_000
+
+
+def _packing_inputs(rnd, count):
+    """Seeded (gens, order, ring): binomial and general inputs over QQ and
+    GF(5) under degrevlex, lex, a permuted degrevlex and an elimination order."""
+    out = []
+    for trial in range(count):
+        general = trial % 3 == 0
+        n = rnd.randint(2, 3 if general else 4)
+        R = Ring([QQ, FiniteField(5)][trial % 2], [f"v{i}" for i in range(n)])
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        order = [DEGREVLEX, LEX, MonomialOrder("degrevlex", perm=perm),
+                 elim_order(rnd.sample(range(n), rnd.randint(1, n - 1)), n)][trial % 4]
+        gens = []
+        for _ in range(rnd.randint(1, 3)):
+            g = R.zero
+            for _ in range(rnd.randint(1, 3) if general else 2):
+                e = tuple(rnd.randint(0, 2 if general else 5) for _ in range(n))
+                g = g + R.monomial(e) * rnd.choice([1, -1, 2, 3])
+            gens.append(g)
+        if any(g.terms for g in gens):
+            out.append((gens, order, R))
+    return out
+
+
+def test_narrowest_packing_restarts_to_the_same_bases(monkeypatch):
+    # a product past the top of a field raises: in 2 variables at width 4
+    # an exponent is 0 or 1, and x*y reduced by y - x (lead x) makes y^2
+    R = Ring(QQ, ["x", "y"])
+    pk = groebner._packing(DEGREVLEX, 2, 4)
+    divisor = groebner._divisor(groebner._prepare(R.parse("y - x"), pk))
+    with pytest.raises(groebner._Overflow):
+        groebner._reduce_prepared(groebner._prepare(R.parse("x*y"), pk), [divisor], pk.guard)
+    # at the narrowest width the largest input exponent just fits, so runs
+    # overflow and restart wider, and normal forms repack the basis
+    rnd = random.Random(28)
+    inputs = _packing_inputs(rnd, 60)
+    wide = [groebner_basis(gens, order, R) for gens, order, R in inputs]
+    probes = [[R.monomial(tuple(rnd.randint(0, 16) for _ in range(R.nvars)))
+               + R.monomial(tuple(rnd.randint(0, 9) for _ in range(R.nvars))) for _ in range(3)]
+              for _, _, R in inputs]
+    want = [[gb.normal_form(f) for f in fs] for gb, fs in zip(wide, probes)]
+    runs, repacks = [], []
+    buchberger = groebner._buchberger
+
+    def counted(gens, order, ring, pk):
+        runs.append(pk.w)
+        return buchberger(gens, order, ring, pk)
+
+    monkeypatch.setattr(groebner, "_width", lambda n, top: n.bit_length() + 1 + top.bit_length())
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    for (gens, order, R), gb, fs, nfs in zip(inputs, wide, probes, want):
+        narrow = groebner_basis(gens, order, R)
+        assert [p.key() for p in narrow] == [p.key() for p in gb], (gens, order)
+        w = narrow._pk.w
+        assert [narrow.normal_form(f) for f in fs] == nfs, (gens, order)
+        repacks.append(narrow._pk.w > w)
+    assert len(runs) >= len(inputs) + 20, len(runs)  # restarts happened
+    assert sum(repacks) >= 20, sum(repacks)
+
+
+def test_narrowest_packing_matches_the_naive_oracle(monkeypatch):
+    monkeypatch.setattr(groebner, "_width", lambda n, top: n.bit_length() + 1 + top.bit_length())
+    for gens, order, R in _packing_inputs(random.Random(29), 24):
+        gb = groebner_basis(gens, order, R)
+        oracle = naive_buchberger(gens, order)
+        assert [p.key() for p in gb] == [p.key() for p in oracle], (gens, order)

@@ -3,7 +3,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -16,10 +16,11 @@ from binomials.errors import (
     RootNotInField,
 )
 from binomials import scalars
-from binomials.poly import Ring, parse_scalar
+from binomials.poly import Ring, _growth_bits, parse_scalar
 from binomials.scalars import (
     QQ,
     CycloElement,
+    CycloField,
     FiniteField,
     _ff_poly_is_irreducible,
     _inverse_mod,
@@ -364,6 +365,126 @@ def test_cyclotomic_kernel_against_schoolbook(n):
             assert a / b * b == a
 
 
+# -- QQ(zeta_N) against a Fraction-per-coefficient reference ------------------
+
+
+def ref_value(a):
+    """(order, Fraction coefficients) of a char-0 scalar."""
+    if isinstance(a, CycloElement):
+        return a.order, [Fraction(c) for c in a.coeffs]
+    return 1, [Fraction(a)]
+
+
+def ref_powers(cs, step, m):
+    """The sum of cs[i] * z_m^(i*step) in the power basis of QQ(zeta_m), by
+    long division."""
+    phi = cyclotomic_polynomial(m)
+    out = [Fraction(0)] * (len(phi) - 1)
+    for i, c in enumerate(cs):
+        out = [o + c * r for o, r in zip(out, ref_rem([0] * (i * step) + [1], phi))]
+    return out
+
+
+def ref_join(x, y):
+    """x and y lifted into QQ(zeta_m), m = lcm of their orders."""
+    m = x[0] * y[0] // gcd(x[0], y[0])
+    return m, ref_powers(x[1], m // x[0], m), ref_powers(y[1], m // y[0], m)
+
+
+def ref_eq(x, y):
+    _, a, b = ref_join(x, y)
+    return a == b
+
+
+def ref_sum(x, y):
+    m, a, b = ref_join(x, y)
+    return m, [u + v for u, v in zip(a, b)]
+
+
+def ref_times(x, y):
+    m, a, b = ref_join(x, y)
+    return m, ref_rem(ref_mul(a, b), cyclotomic_polynomial(m))
+
+
+def ref_minimal_order(x):
+    """The least d dividing N such that x is fixed by z -> z^k for every unit
+    k = 1 mod d: those automorphisms fix exactly QQ(zeta_d)."""
+    n, cs = x
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        units = [k for k in range(1, n) if gcd(k, n) == 1 and k % d == 1 % d]
+        if all(ref_powers(cs, k, n) == cs for k in units):
+            return d
+
+
+def ref_render(n, cs):
+    parts = []
+    for i in reversed(range(len(cs))):
+        c, mon = cs[i], "" if i == 0 else f"z{n}" if i == 1 else f"z{n}^{i}"
+        if c:
+            body = mon if c == 1 else f"-{mon}" if c == -1 else f"{c}*{mon}"
+            parts.append(body if mon else str(c))
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
+def ref_growth_bits(cs):
+    den = lcm(*(c.denominator for c in cs))
+    return max(sum(abs(c.numerator) * (den // c.denominator) for c in cs), den).bit_length() - 1
+
+
+CYCLO_ORDERS = [3, 4, 5, 12, 15]
+
+
+@pytest.mark.parametrize("n", CYCLO_ORDERS)
+def test_cyclo_element_against_fraction_reference(n):
+    rnd = random.Random(100 + n)
+
+    def element(order):
+        deg = euler_phi(order)
+        return CycloElement(order, tuple(
+            Fraction(rnd.randint(-6, 6), rnd.randint(1, 6)) * (rnd.random() < 0.7)
+            for _ in range(deg)
+        ))
+
+    def stored_at(order, z):
+        return CycloElement(order, tuple(ref_powers(ref_value(z)[1], order // z.order, order)))
+
+    one = (1, [Fraction(1)])
+    subfields = [d for d in CYCLO_ORDERS if n % d == 0 and d < n]
+    for t in range(40):
+        # a third of them stored above their minimal order
+        a = stored_at(n, element(rnd.choice(subfields))) if subfields and t % 3 == 0 else element(n)
+        b = rnd.choice([element(n), element(rnd.choice(CYCLO_ORDERS)),
+                        Fraction(rnd.randint(-5, 5), rnd.randint(1, 3)), rnd.randint(-3, 3)])
+        x, y = ref_value(a), ref_value(b)
+        neg_x, neg_y = ((n, [-c for c in cs]) for n, cs in (x, y))
+        for got, want in ((a + b, ref_sum(x, y)), (b + a, ref_sum(x, y)),
+                          (a - b, ref_sum(x, neg_y)), (b - a, ref_sum(y, neg_x)),
+                          (a * b, ref_times(x, y)), (b * a, ref_times(x, y)), (-a, neg_x)):
+            assert ref_eq(ref_value(got), want), (a, b, got)
+            if isinstance(got, CycloElement):  # lowest terms over one positive denominator
+                assert got.den > 0 and gcd(got.den, *got.num) == 1
+        assert (a == b) == ref_eq(x, y) == (b == a)
+        if b:
+            assert ref_eq(ref_times(ref_value(a / b), y), x)
+        if a:
+            assert ref_eq(ref_times(ref_value(a.inverse()), x), one)
+            assert ref_eq(ref_times(ref_value(a**-2), ref_value(a * a)), one)
+        power = one
+        for e in range(5):
+            assert ref_eq(ref_value(a**e), power), (a, e)
+            power = ref_times(power, x)
+        # the same element stored at order 60 is equal, hashes equal and has
+        # the same key, which reads the minimal order
+        big = stored_at(60, a)
+        assert big == a and a == big and hash(big) == hash(a) and big.key() == a.key()
+        d, cs = a.key()
+        assert d == ref_minimal_order(x) and len(cs) == euler_phi(d)
+        assert ref_eq((d, list(cs)), x) and all(isinstance(c, Fraction) for c in cs)
+        assert render_scalar(a) == ref_render(n, x[1])
+        assert parse_scalar(render_scalar(a), CycloField(n)) == a
+        assert _growth_bits(a) == ref_growth_bits(x[1])
+
+
 def ref_pow(a, e, f, p):
     """a^e modulo the monic f over F_p, by schoolbook products."""
     if e == 0:
@@ -394,9 +515,12 @@ def test_finite_field_kernel_against_schoolbook(p, k):
             inverses[c] = ref_pow(list(c), q - 2, f, p)
         return inverses[c]
 
+    three = list(F.scalar(3).coeffs)
     for a in firsts:
         ca = list(a.coeffs)
         assert list((-a).coeffs) == [-x % p for x in ca]
+        assert list((a - 3).coeffs) == [(x - y) % p for x, y in zip(ca, three)]
+        assert list((3 - a).coeffs) == [(y - x) % p for x, y in zip(ca, three)]
         for e in (0, 1, 2, 3, q - 2, q, 2 * q + 1):
             assert list((a**e).coeffs) == ref_pow(ca, e, f, p)
             if a:

@@ -11,7 +11,8 @@ session.  No new plain `assert` enters the engine, and no new caller of
 the auxiliary-variable primitives or of the residue-ring kernel's extended
 Euclid and square-and-multiply.  A finite field walks its unit group only
 in its table builder.  An ideal is one object: nothing in the engine copies
-it into a second one generated by its cached basis.  The README's quick
+it into a second one generated by its cached basis.  A Groebner run sees
+monomials only as packed ints.  The README's quick
 example prints what it says it prints.
 """
 
@@ -312,6 +313,23 @@ def test_one_object_per_ideal():
         if isinstance(node, ast.Call) and _copies_from_a_basis(node)
     ]
     assert copies == []
+
+
+# a Groebner run has one monomial representation, the packed int of
+# `groebner._Packing`: the module names none of the exponent-tuple helpers
+# and builds no tuple sort key
+TUPLE_MONOMIAL_NAMES = {
+    "mono_mul", "mono_divides", "mono_div", "mono_lcm", "mono_deg", "key_function",
+}
+
+
+def test_one_monomial_representation_in_groebner_runs():
+    tree = ast.parse((ENGINE / "groebner.py").read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not names & TUPLE_MONOMIAL_NAMES
+    assert "mono_lcm" not in (ENGINE / "poly.py").read_text()
 
 
 README = SPANS.parents[1] / "README.md"
