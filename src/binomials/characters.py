@@ -7,7 +7,9 @@ here realize the two-way correspondence with saturated binomial ideals and
 the saturation/extension calculus that drives every decomposition step.
 Questions about the primes of saturated characters on one cell are answered
 on the characters (ES Thm 2.1): P_rho ⊆ P_sigma exactly when sigma
-`extends` rho, so no prime ideal is built to compare two of them.
+`extends` rho, so no prime ideal is built to compare two of them, and
+`ideal_contains` decides whether M(off-cell) + I_+(rho) contains a set of
+binomials with no Groebner run.
 """
 
 from itertools import product
@@ -24,7 +26,7 @@ from .errors import (
 from .ideals import Ideal, cell_product, saturate_monomial
 from .intlattice import Lattice, hnf_with_transform
 from .poly import render_poly
-from .scalars import p_part, scalar_key
+from .scalars import p_part, render_scalar, scalar_key
 
 
 def _evaluate(field, coefs, values):
@@ -131,8 +133,6 @@ class PartialCharacter:
         )
 
     def serialize(self, names=None):
-        from .scalars import render_scalar
-
         cell = list(self.cell) if names is None else [names[i] for i in self.cell]
         return {
             "cell": cell,
@@ -360,10 +360,28 @@ def character_from_cellular(i, cell):
     return rho
 
 
-def character_prime_ideal(ring, rho, base=None):
-    """M(cell) + I_+(rho): the prime/cellular ideal attached to a character;
-    base is I_+(rho) when the caller has already built it."""
-    base = ideal_from_character(ring, rho) if base is None else base
+def character_prime_ideal(ring, rho):
+    """M(cell) + I_+(rho): the prime/cellular ideal attached to a character."""
     outside = [v for v in range(ring.nvars) if v not in set(rho.cell)]
-    gens = tuple(ring.var(v) for v in outside) + base.gens
+    gens = tuple(ring.var(v) for v in outside) + ideal_from_character(ring, rho).gens
     return Ideal(ring, gens)
+
+
+def ideal_contains(rho, gens):
+    """Whether M(off-cell) + I_+(rho) contains the binomials and monomials
+    `gens`, decided on characters with no Groebner run.
+
+    Proof.  Setting the off-cell variables to 0 is a retraction of the
+    polynomial ring onto k[Z], Z = rho's cell, whose kernel M(off Z) lies in
+    the ideal; it fixes I_+(rho) = I(rho) ∩ k[Z].  So the ideal contains g
+    iff it contains g's image, iff the images lie in I_+(rho), iff the
+    Laurent ideal they generate lies in I(rho).  By ES Thm 2.1 that ideal is
+    the unit ideal, when an image is a lone monomial or the values clash on
+    a relation (`cell_character` gives None), or else I(tau) for tau =
+    `cell_character(gens, Z)`; and x^m − c lies in I(rho) iff m is in L_rho
+    and c = rho(m), so I(tau) ⊆ I(rho) iff rho extends tau.  Nothing here
+    needs rho saturated: it holds for p-saturated characters too.  An
+    element with three or more terms on the cell raises NotBinomial.
+    """
+    tau = cell_character(gens, rho.cell, rho.field)
+    return tau is not None and rho.extends(tau)

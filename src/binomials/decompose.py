@@ -21,10 +21,17 @@ witness colons (I : x^m), one per standard monomial m, all come from
 associated-prime scan finds no embedded prime, the primary test that
 certifies it reuses that scan's colons.
 
-`localize` decides on characters alone which associated primes of I lie in
-a minimal prime of J (P_rho ⊆ P_sigma' iff sigma' extends rho) and which
-polynomial separates an embedded one (a root-of-unity order or a lattice
-row), so it builds no prime ideal of J.
+Every comparison of primes is read off characters, with no Groebner
+membership test: whether M(off Z) + I_+(rho) contains a set of binomials
+is `characters.ideal_contains` (rho extends the character the set defines
+on Z, ES Thm 2.1).  `radical` and `minimal_prime_entries` drop the pieces
+that contain another with it, and `_prime_below` orders the primary
+candidates by it; the witness test of `primary_test` and `localize` ask
+`PartialCharacter.extends` directly.  `localize` decides on characters
+alone which associated primes of I lie in a minimal prime of J (P_rho ⊆
+P_sigma' iff sigma' extends rho) and which polynomial separates an
+embedded one (a root-of-unity order or a lattice row), so it builds no
+prime ideal of J.
 """
 
 from itertools import combinations
@@ -39,7 +46,7 @@ from .characters import (
     character_prime_ideal,
     character_saturations,
     free_variables,
-    ideal_from_character,
+    ideal_contains,
     lattice_binomial,
     p_saturation,
 )
@@ -57,7 +64,7 @@ from .ideals import (
     standard_monomials,
     nonzerodivisor_variables,
 )
-from .scalars import root_of_unity_order, scalar_order
+from .scalars import CycloField, root_of_unity_order, scalar_order
 
 
 class CellularComponent:
@@ -130,15 +137,18 @@ def cell_scan(i):
 def radical(i):
     """√I: intersect, over all proper cells, the cell variables plus the
     p-saturated cell lattice ideal (2^n cells instead of the factorial
-    variable recursion; the radical of a binomial ideal stays binomial)."""
+    variable recursion; the radical of a binomial ideal stays binomial).
+    A piece that contains another is left out of the intersection; pieces
+    on distinct cells are distinct, so each left-out piece contains a kept
+    one and the intersection does not change."""
     ring = i.ring
     if i.is_zero() or i.is_unit():
         return i
-    pieces = []
-    for _, rho in cell_scan(i):
-        rho_p = p_saturation(rho)
-        pieces.append(character_prime_ideal(ring, rho_p))
-    out = intersect_all(pieces, ring)
+    chars = [p_saturation(rho) for _, rho in cell_scan(i)]
+    pieces = [(rho_p, character_prime_ideal(ring, rho_p)) for rho_p in chars]
+    kept = [p for rho_p, p in pieces
+            if not any(q is not p and ideal_contains(rho_p, q.gens) for _, q in pieces)]
+    out = intersect_all(kept, ring)
     if all(len(g.terms) <= 2 for g in i.gens) and not out.is_binomial():
         raise BinomialsError("radical of a binomial ideal must be binomial")
     if checks.ENABLED:
@@ -154,28 +164,21 @@ def minimal_prime_entries(i):
     if i.is_zero():
         full = tuple(range(ring.nvars))
         return [(full, PartialCharacter.trivial(full, ring.field), i)]
-    entries = []
-    for cell, rho in cell_scan(i):
-        for s in character_saturations(p_saturation(rho)):
-            entries.append((cell, s))
-    seen = {}
-    for cell, s in entries:
-        p_ideal = character_prime_ideal(ring, s)
-        seen.setdefault(p_ideal.key(), (cell, s, p_ideal))
-    items = [seen[k] for k in sorted(seen, key=_key_sort)]
+    # no prime recurs: a prime fixes its cell, and the saturations of one
+    # cell's character are distinct (as in _primary_candidates)
+    entries = [
+        (cell, s, character_prime_ideal(ring, s))
+        for cell, rho in cell_scan(i)
+        for s in character_saturations(p_saturation(rho))
+    ]
     # by prime avoidance a prime contains an intersection of primes only if
     # it contains one of them, so this pairwise test is already the local
-    # redundancy test of _prune_redundant, with no intersection computed;
-    # the items have distinct keys, so containment here is strict
-    keep = []
-    for idx, (cell, s, p_ideal) in enumerate(items):
-        redundant = False
-        for jdx, (_, _, q_ideal) in enumerate(items):
-            if idx != jdx and p_ideal.contains(q_ideal):
-                redundant = True
-                break
-        if not redundant:
-            keep.append((cell, s, p_ideal))
+    # redundancy test of _prune_redundant, with no intersection computed
+    keep = [
+        (cell, s, p_ideal)
+        for cell, s, p_ideal in entries
+        if not any(q is not p_ideal and ideal_contains(s, q.gens) for _, _, q in entries)
+    ]
     keep.sort(key=lambda t: _char_sort_key(t[1]))
     return keep
 
@@ -183,10 +186,6 @@ def minimal_prime_entries(i):
 def minimal_primes(i):
     """Irredundant binomial primes intersecting to √I (cell scan form)."""
     return [p for _, _, p in minimal_prime_entries(i)]
-
-
-def _key_sort(k):
-    return repr(k)
 
 
 def _char_sort_key(ch):
@@ -261,7 +260,7 @@ def _cell_below(c, d):
 
 def _prime_below(c, d):
     """d survives localizing at the prime P of c: its prime lies inside P."""
-    return c.prime.contains(d.prime)
+    return ideal_contains(c.char, d.prime.gens)
 
 
 def _prune_redundant(comps, below, ring):
@@ -299,8 +298,9 @@ def primary_test(i, cell=None):
     Each witness colon (I : x^m) is cellular with the same cell, so the
     elements of its reduced degrevlex basis that involve no off-cell
     variable generate (I : x^m) ∩ k[cell] (proof at
-    `character_from_cellular`); the test asks the lattice ideal of sigma
-    to contain them, with no elimination run.
+    `character_from_cellular`), and their character tau is read off that
+    basis.  The lattice ideal of sigma contains them iff sigma extends tau
+    (ES Thm 2.1, as in `ideal_contains`), so no membership test runs.
     """
     if cell is None:
         return is_primary(i)
@@ -316,16 +316,14 @@ def primary_test(i, cell=None):
             False, character_prime_ideal(ring, sigma), sigma, (w1, w2), "radical is not prime"
         )
     _, maximal = standard_monomials(i, off)
-    sigma_ideal = ideal_from_character(ring, sigma)
-    rad = character_prime_ideal(ring, sigma, sigma_ideal)
+    rad = character_prime_ideal(ring, sigma)
     for m in maximal:
         if not any(m):
             continue
-        im = colon_monomial(i, ring.monomial(m))
-        if all(sigma_ideal.contains(g) for g in im.gb().polys if not g.involves(off)):
+        tau = character_from_cellular(colon_monomial(i, ring.monomial(m)), cell)
+        if sigma.extends(tau):
             continue
-        rho = p_saturation(character_from_cellular(im, cell))
-        w2 = character_prime_ideal(ring, character_saturations(rho)[0])
+        w2 = character_prime_ideal(ring, character_saturations(p_saturation(tau))[0])
         return PrimaryTestReport(
             False,
             rad,
@@ -632,6 +630,4 @@ def effective_field(ring, *ideal_groups):
             for g in ideal.gb().polys:
                 for _, c in g.terms:
                     n = lcm(n, scalar_order(c))
-    from .scalars import CycloField
-
     return CycloField(n)

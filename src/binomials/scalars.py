@@ -419,6 +419,9 @@ class CycloElement:
         return NotImplemented
 
     def __hash__(self):
+        # a rational value hashes as the Fraction it equals
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
         return hash(self.key())
 
     def __repr__(self):

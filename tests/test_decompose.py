@@ -4,12 +4,14 @@ from math import lcm
 
 import pytest
 
-from binomials import decompose
+from binomials import decompose, ideals
 from binomials.characters import (
     PartialCharacter,
+    cell_character,
     character_from_cellular,
     character_prime_ideal,
     character_saturations,
+    ideal_contains,
     ideal_from_character,
     lattice_binomial,
     p_saturation,
@@ -267,6 +269,25 @@ def test_deg7_curve_cellular(deg7_curve):
     assert P == saturate_monomial(
         Ideal(R, I.gens + (b * c - a * d,)), cell_product(R, [0, 1, 2, 3])
     )
+
+
+def test_deg7_curve_radical_intersects_only_minimal_pieces(deg7_curve, monkeypatch):
+    # the cell pieces on {a}, {d} and {} all contain the curve prime on the
+    # full cell, so the radical drops them and intersects nothing; folding
+    # them in made one intersection, the 11th of the exponent-ladder pass
+    calls = []
+    real = ideals.intersect
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ideals, "intersect", counted)
+    R, I = deg7_curve
+    a, b, c, d = (R.var(i) for i in range(4))
+    rad = radical(I)
+    assert calls == []
+    assert rad == saturate_monomial(Ideal(R, I.gens + (b * c - a * d,)), cell_product(R, [0, 1, 2, 3]))
 
 
 def test_deg7_curve_circuits_and_faces(deg7_curve):
@@ -554,6 +575,80 @@ def test_extends_matches_prime_containment():
                 assert s.extends(rho) == want, (s, rho)
                 verdicts.append(want)
     assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50, len(verdicts)
+
+
+def _binomial_ideals_for_containment(rng, count):
+    """Seeded three-variable binomial ideals over GF(5), GF(25) and
+    QQ(zeta 12): monomial multiples of binomials, whose cells carry both
+    saturated and p-saturated but unsaturated characters."""
+    f25 = FiniteField(5, 2)
+    fields = [
+        (FiniteField(5), [1, 2, 3, 4]),
+        (f25, [f25.generator() ** k for k in range(24)]),
+        (CycloField(12), [zeta(12, k) for k in range(12)]),
+    ]
+    out = []
+    for k in range(count):
+        field, units = fields[k % 3]
+        R = Ring(field, ["x", "y", "z"])
+        gens = []
+        for _ in range(rng.choice((2, 3))):
+            m = tuple(rng.randrange(2) for _ in range(3))
+            a, b = (tuple(rng.randrange(4) for _ in range(3)) for _ in range(2))
+            if a != b:
+                gens.append(R.monomial(m) * (R.monomial(a) - R.monomial(b, rng.choice(units))))
+        i = Ideal(R, gens)
+        if gens and not i.is_unit():
+            out.append(i)
+    return out
+
+
+def test_ideal_contains_matches_groebner_membership():
+    # M(off Z) + I_+(rho) contains the prime of another cell piece exactly
+    # when rho extends the character that prime's generators give on Z,
+    # for saturated and for p-saturated characters alike
+    verdicts, kinds = [], {"saturated": 0, "unsaturated": 0}
+    for i in _binomial_ideals_for_containment(random.Random(28), 45):
+        ring = i.ring
+        chars = {}
+        for _, rho in cell_scan(i):
+            rho_p = p_saturation(rho)
+            chars.setdefault(rho_p.key(), rho_p)
+            try:
+                for s in character_saturations(rho_p):
+                    chars.setdefault(s.key(), s)
+            except (RootNotInField, RootNotCyclotomic):  # the field lacks a root
+                pass
+        primes = {k: character_prime_ideal(ring, c) for k, c in chars.items()}
+        for k, rho in chars.items():
+            kinds["saturated" if rho.is_saturated() else "unsaturated"] += 1
+            for q in primes.values():
+                want = primes[k].contains(q)
+                assert ideal_contains(rho, q.gens) == want, (i, rho, q)
+                verdicts.append(want)
+    assert verdicts.count(True) >= 600 and verdicts.count(False) >= 1500, len(verdicts)
+    assert kinds["saturated"] >= 250 and kinds["unsaturated"] >= 20, kinds
+
+
+def test_ideal_contains_reads_none_as_not_contained():
+    R = Ring(FiniteField(5), ["x", "y", "z"])
+    x, y, z = (R.var(v) for v in range(3))
+    # x^2 - y^2 on the cell {x, y}: p-saturated in char 5, not saturated
+    rho = cell_character([x**2 - y**2, z], (0, 1), R.field)
+    assert rho.lattice.basis == ((2, -2),) and not rho.is_saturated()
+    assert rho == p_saturation(rho)
+    p_rho = character_prime_ideal(R, rho)
+    # a generator that restricts to a lone monomial on the cell
+    gens = [x - y, y * z + z, x]
+    assert cell_character(gens, rho.cell, R.field) is None
+    assert not ideal_contains(rho, gens) and not p_rho.contains(Ideal(R, gens))
+    # values that clash on a relation: x - y and x - 2y give x/y = 1 and 2
+    gens = [x - y, x - 2 * y]
+    assert cell_character(gens, rho.cell, R.field) is None
+    assert not ideal_contains(rho, gens) and not p_rho.contains(Ideal(R, gens))
+    # and the cases that hold: the prime itself, and z times anything
+    assert ideal_contains(rho, p_rho.gens) and ideal_contains(rho, [x * z, x**4 - y**4])
+    assert not ideal_contains(rho, [x - y])  # only x + y or x - y, not both
 
 
 def test_certificate_compares_characters_like_prime_ideals():

@@ -485,6 +485,22 @@ def test_cyclo_element_against_fraction_reference(n):
         assert _growth_bits(a) == ref_growth_bits(x[1])
 
 
+def test_rational_cyclo_element_hashes_as_its_fraction():
+    # equal values hash equal: a rational element of QQ(zeta_N) is one set
+    # member and one dict key with the Fraction or int it equals
+    one = zeta(3) + 1 - zeta(3)
+    assert one == Fraction(1) and isinstance(one, CycloElement)
+    assert len({one, Fraction(1)}) == 1 and len({Fraction(1), one, 1}) == 1
+    assert {Fraction(1): "a"}[one] == "a" and {one: "b"}[Fraction(1)] == "b"
+    half = (zeta(12, 5) + Fraction(1, 2)) - zeta(12, 5)
+    assert {half: 0}.get(Fraction(1, 2)) == 0 and {Fraction(1, 2): 0}.get(half) == 0
+    # the key still reads the minimal order, so output is unchanged
+    assert one.key() == (1, (Fraction(1),)) and half.key() == (1, (Fraction(1, 2),))
+    # irrational values keep hashing by their key, across stored orders
+    z = zeta(3)
+    assert hash(z * zeta(4) * zeta(4, 3)) == hash(z)
+
+
 def ref_pow(a, e, f, p):
     """a^e modulo the monic f over F_p, by schoolbook products."""
     if e == 0:

@@ -9,7 +9,9 @@ recorded in `reference_digests.json` (`--json`) and
 `reference_text_digests.json` (the plain-text report) for every benchmark
 session.  No new plain `assert` enters the engine, and no new caller of
 the auxiliary-variable primitives or of the residue-ring kernel's extended
-Euclid and square-and-multiply.  A finite field walks its unit group only
+Euclid and square-and-multiply.  Prime comparisons in `decompose` read
+characters through `ideal_contains` and `extends`, with no membership test
+or ideal key.  A finite field walks its unit group only
 in its table builder.  An ideal is one object: nothing in the engine copies
 it into a second one generated by its cached basis.  A Groebner run sees
 monomials only as packed ints.  The README's quick
@@ -235,6 +237,38 @@ def _engine_callers(names):
 
 def test_auxiliary_variable_callers():
     assert _engine_callers(AUX_CALLERS) == AUX_CALLERS
+
+
+# primes are compared on their characters (ES Thm 2.1): `ideal_contains`
+# has these callers, and they and the witness test of `primary_test` make no
+# Groebner membership test or ideal key; a self-check under checks.ENABLED
+# may verify by membership
+CONTAINS_CALLERS = {
+    "ideal_contains": {
+        ("decompose.py", "radical"),
+        ("decompose.py", "minimal_prime_entries"),
+        ("decompose.py", "_prime_below"),
+    },
+}
+CHARACTER_COMPARERS = ("_prime_below", "minimal_prime_entries", "primary_test", "radical")
+
+
+def _is_self_check(node):
+    return isinstance(node, ast.If) and ast.unparse(node.test) == "checks.ENABLED"
+
+
+def test_primes_are_compared_on_characters():
+    assert _engine_callers(CONTAINS_CALLERS) == CONTAINS_CALLERS
+    tree = ast.parse((ENGINE / "decompose.py").read_text())
+    functions = {
+        node.name: node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in CHARACTER_COMPARERS
+    }
+    assert tuple(sorted(functions)) == CHARACTER_COMPARERS
+    for name, node in functions.items():
+        body = ast.Module([s for s in node.body if not _is_self_check(s)], [])
+        called = {callee for callee, _ in _calls_by_function(body)}
+        assert not called & {"contains", "key"}, name
 
 
 def test_one_euclid_and_one_square_and_multiply():
