@@ -9,7 +9,7 @@ Questions about the primes of saturated characters on one cell are answered
 on the characters (ES Thm 2.1): P_rho ⊆ P_sigma exactly when sigma
 `extends` rho, so no prime ideal is built to compare two of them, and
 `ideal_contains` decides whether M(off-cell) + I_+(rho) contains a set of
-binomials with no Groebner run.
+polynomials with no Groebner run, one coset sum per polynomial (ES §2).
 """
 
 from itertools import product
@@ -368,20 +368,30 @@ def character_prime_ideal(ring, rho):
 
 
 def ideal_contains(rho, gens):
-    """Whether M(off-cell) + I_+(rho) contains the binomials and monomials
-    `gens`, decided on characters with no Groebner run.
+    """Whether M(off-cell) + I_+(rho) contains the polynomials `gens`,
+    decided by one coset sum per polynomial with no Groebner run.
 
     Proof.  Setting the off-cell variables to 0 is a retraction of the
     polynomial ring onto k[Z], Z = rho's cell, whose kernel M(off Z) lies in
     the ideal; it fixes I_+(rho) = I(rho) ∩ k[Z].  So the ideal contains g
-    iff it contains g's image, iff the images lie in I_+(rho), iff the
-    Laurent ideal they generate lies in I(rho).  By ES Thm 2.1 that ideal is
-    the unit ideal, when an image is a lone monomial or the values clash on
-    a relation (`cell_character` gives None), or else I(tau) for tau =
-    `cell_character(gens, Z)`; and x^m − c lies in I(rho) iff m is in L_rho
-    and c = rho(m), so I(tau) ⊆ I(rho) iff rho extends tau.  Nothing here
-    needs rho saturated: it holds for p-saturated characters too.  An
-    element with three or more terms on the cell raises NotBinomial.
+    iff g's image lies in I(rho).  By ES §2, k[Z^±]/I(rho) has one basis
+    monomial x^r per coset r + L_rho, and x^a ≡ rho(a − r)·x^r modulo
+    I(rho) for a in that coset.  So the image Σ c·x^a lies in I(rho) iff,
+    for each coset representative r (`Lattice.reduce`), the sum of
+    c·rho(a − r) over its exponents a is 0.  Nothing here needs rho
+    saturated, nor g binomial.
     """
-    tau = cell_character(gens, rho.cell, rho.field)
-    return tau is not None and rho.extends(tau)
+    cell = rho.cell
+    for g in gens:
+        off = [v for v in range(g.ring.nvars) if v not in cell]
+        sums = {}
+        for e, c in g.terms:
+            if any(e[v] for v in off):
+                continue
+            r, coords = rho.lattice.reduce([e[v] for v in cell])
+            r = tuple(r)
+            term = c * _evaluate(rho.field, coords, rho.values)
+            sums[r] = sums[r] + term if r in sums else term
+        if any(sums.values()):
+            return False
+    return True

@@ -22,16 +22,18 @@ associated-prime scan finds no embedded prime, the primary test that
 certifies it reuses that scan's colons.
 
 Every comparison of primes is read off characters, with no Groebner
-membership test: whether M(off Z) + I_+(rho) contains a set of binomials
-is `characters.ideal_contains` (rho extends the character the set defines
-on Z, ES Thm 2.1).  `radical` and `minimal_prime_entries` drop the pieces
-that contain another with it, and `_prime_below` orders the primary
-candidates by it; the witness test of `primary_test` and `localize` ask
-`PartialCharacter.extends` directly.  `localize` decides on characters
-alone which associated primes of I lie in a minimal prime of J (P_rho ⊆
-P_sigma' iff sigma' extends rho) and which polynomial separates an
-embedded one (a root-of-unity order or a lattice row), so it builds no
-prime ideal of J.
+membership test: whether M(off Z) + I_+(rho) contains a polynomial is
+`characters.ideal_contains` (its coefficients twisted by rho sum to 0 on
+every coset of L_rho, ES §2).  `radical` and `minimal_prime_entries` drop
+the pieces that contain another with it, `_prime_below` orders the primary
+candidates by it, and `localize` skips by it an embedded prime that holds
+an earlier separating polynomial; the witness test of `primary_test` and
+`localize` ask `PartialCharacter.extends` directly.  `localize` decides on
+characters alone which associated primes of I lie in a minimal prime of J
+(P_rho ⊆ P_sigma' iff sigma' extends rho), which polynomial separates an
+embedded one (a root-of-unity order or a lattice row) and which embedded
+primes an earlier one already separates, so it builds no prime ideal at
+all.
 """
 
 from itertools import combinations
@@ -300,7 +302,7 @@ def primary_test(i, cell=None):
     variable generate (I : x^m) ∩ k[cell] (proof at
     `character_from_cellular`), and their character tau is read off that
     basis.  The lattice ideal of sigma contains them iff sigma extends tau
-    (ES Thm 2.1, as in `ideal_contains`), so no membership test runs.
+    (ES Thm 2.1), so no membership test runs.
     """
     if cell is None:
         return is_primary(i)
@@ -387,14 +389,15 @@ def localize(i, j, cell):
     binomial x^(m+) − c·x^(m−) lies in I_+(sigma') iff m is in L_sigma' and
     c = sigma'(m).  I_+(rho) is its basis binomials saturated at the cell,
     and I_+(sigma') is saturated, so P_rho ⊆ P_sigma' iff sigma' takes
-    rho's values on rho's basis rows.  No prime ideal of J is built.
+    rho's values on rho's basis rows.  No prime ideal is built.
 
     For each embedded prime P_rho, one extended by no sigma', pick a
     polynomial f_rho in P_rho and in no P_sigma' (`_embedded_prime_poly`);
-    a prime holding an earlier f is skipped.  Then I : (∏ f_rho)^∞ keeps
-    exactly the primary components whose primes hold no f_rho (ES §6–7):
-    those inside a minimal prime of J, since a prime inside P_sigma' holds
-    only what P_sigma' holds.  That is I_(J), whichever valid f are picked.
+    a prime holding an earlier f is skipped, by the coset test of
+    `ideal_contains`.  Then I : (∏ f_rho)^∞ keeps exactly the primary
+    components whose primes hold no f_rho (ES §6–7): those inside a minimal
+    prime of J, since a prime inside P_sigma' holds only what P_sigma'
+    holds.  That is I_(J), whichever valid f are picked.
 
     I_(J) of a cellular binomial ideal is binomial; that is checked.
     """
@@ -408,8 +411,7 @@ def localize(i, j, cell):
     for rho in associated_prime_characters(i, cell):
         if any(s.extends(rho) for s in sats):
             continue
-        p_ideal = character_prime_ideal(ring, rho)
-        if any(p_ideal.contains(f) for f in fs):
+        if any(ideal_contains(rho, [f]) for f in fs):
             continue
         fs.append(_embedded_prime_poly(sigma, rho, cell, ring))
     if not fs:

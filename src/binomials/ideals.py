@@ -21,6 +21,8 @@ and colon tree are then reused, never a copy regenerated by its basis.  Binomial
 checked where the theory guarantees it.
 """
 
+from itertools import product
+
 from .errors import (
     BinomialsError,
     InfiniteStandardSet,
@@ -474,10 +476,7 @@ def standard_monomials(ideal, var_indices):
     ]
     if any(not any(lm) for lm in lms):
         return [], []  # unit ideal: no standard monomials
-    if not vs:
-        unit = (0,) * nv
-        return [unit], [unit]
-    bounds = {}
+    bounds = [1] * nv
     for v in vs:
         pure = [lm[v] for lm in lms if all(x == 0 for i, x in enumerate(lm) if i != v)]
         if not pure:
@@ -485,32 +484,11 @@ def standard_monomials(ideal, var_indices):
                 f"no pure power of variable {gb.ring.names[v]} in the initial ideal"
             )
         bounds[v] = min(pure)
-    out = []
-    exp = [0] * nv
-
-    def rec(pos):
-        if pos == len(vs):
-            e = tuple(exp)
-            if not any(mono_divides(lm, e) for lm in lms):
-                out.append(e)
-            return
-        v = vs[pos]
-        for k in range(bounds[v]):
-            exp[v] = k
-            rec(pos + 1)
-        exp[v] = 0
-
-    rec(0)
-    maximal = []
-    for e in out:
-        top = True
-        for v in vs:
-            bumped = tuple(x + 1 if i == v else x for i, x in enumerate(e))
-            if not any(mono_divides(lm, bumped) for lm in lms):
-                top = False
-                break
-        if top:
-            maximal.append(e)
+    out = [e for e in product(*map(range, bounds)) if not any(mono_divides(lm, e) for lm in lms)]
+    maximal = [
+        e for e in out
+        if all(any(mono_divides(lm, e[:v] + (e[v] + 1,) + e[v + 1:]) for lm in lms) for v in vs)
+    ]
     keyf = DEGREVLEX.key_function(nv)
     out.sort(key=keyf)
     maximal.sort(key=keyf)

@@ -253,22 +253,30 @@ class Lattice:
     def __repr__(self):
         return f"Lattice({self.ambient}, {list(map(list, self.basis))})"
 
-    def express(self, v):
-        """Integer coordinates of v in the HNF basis, or None."""
-        v = list(v)
+    def reduce(self, v):
+        """(r, coords) with v = r + sum coords_i·basis_i and every pivot
+        entry of r in [0, pivot): the one division by the Hermite basis.
+
+        r depends only on the coset v + L.  The difference of two such r
+        lies in L; its first nonzero basis coordinate c_i would make its
+        entry at row i's pivot c_i·pivot, as the earlier rows have
+        coordinate 0 and the later ones vanish there, yet that entry lies
+        strictly between −pivot and pivot.
+        """
+        r = list(v)
         coords = []
         for row in self.basis:
             pj = next(j for j, x in enumerate(row) if x)
-            if any(v[j] for j in range(pj)):
-                return None
-            q, r = divmod(v[pj], row[pj])
-            if r:
-                return None
+            q = r[pj] // row[pj]
             coords.append(q)
-            v = [x - q * y for x, y in zip(v, row)]
-        if any(v):
-            return None
-        return coords
+            if q:
+                r = [x - q * y for x, y in zip(r, row)]
+        return r, coords
+
+    def express(self, v):
+        """Integer coordinates of v in the HNF basis, or None."""
+        r, coords = self.reduce(v)
+        return coords if not any(r) else None
 
     def __contains__(self, v):
         return self.express(v) is not None

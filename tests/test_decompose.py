@@ -46,12 +46,13 @@ from binomials.ideals import (
     intersect_all,
     nonzerodivisor_variables,
     quasi_power,
+    quasi_power_ratio,
     saturate_monomial,
     saturate_poly,
 )
 from binomials.intlattice import Lattice
 from binomials.poly import Polynomial, Ring
-from binomials.scalars import QQ, CycloField, FiniteField, p_part, zeta
+from binomials.scalars import QQ, CycloField, FiniteField, p_part, root_of_unity_order, zeta
 
 
 @pytest.fixture
@@ -651,6 +652,82 @@ def test_ideal_contains_reads_none_as_not_contained():
     assert not ideal_contains(rho, [x - y])  # only x + y or x - y, not both
 
 
+def _polynomials_around(rho, ring, units, rng):
+    """Seeded non-binomial test polynomials for M(off Z) + I_+(rho), each
+    built to lie in it or to miss it by one changed coefficient or root:
+    quasi-power ratios b^[o]/b, products of two binomials, and 3–5-term
+    sums of monomial multiples of rho's binomials, some with an off-cell
+    term."""
+    cell = rho.cell
+    off = [v for v in range(ring.nvars) if v not in cell]
+
+    def lattice_vector():
+        m = [0] * len(cell)
+        for row in rho.lattice.basis:
+            k = rng.randint(-1, 1)
+            m = [x + k * y for x, y in zip(m, row)]
+        return m if any(m) else [rng.randint(-2, 2) for _ in cell]
+
+    def lattice_point():
+        m = lattice_vector()
+        return m, rho.value(m) if m in rho.lattice else rng.choice(units)
+
+    def binomial(changed):
+        m, c = lattice_point()
+        return lattice_binomial(ring, cell, m, c * rng.choice(units) if changed else c)
+
+    def monomial():
+        return ring.monomial(tuple(rng.randrange(3) if v in cell else 0 for v in range(ring.nvars)))
+
+    out = []
+    for changed in (False, True):
+        m, c = lattice_point()
+        z = rng.choice([u for u in units if root_of_unity_order(u, ring.field) > 1])
+        if any(m):
+            b = lattice_binomial(ring, cell, m, c if changed else c / z)
+            out.append(quasi_power_ratio(b, root_of_unity_order(z, ring.field), 1))
+        out.append(binomial(changed) * binomial(changed))
+        f = monomial() * binomial(False) + rng.choice(units) * monomial() * binomial(changed)
+        if off and rng.randrange(2):
+            f = f + rng.choice(units) * ring.var(rng.choice(off)) * monomial()
+        out.append(f)
+    return [f for f in out if len(f.terms) >= 3]
+
+
+def test_ideal_contains_matches_groebner_membership_off_binomials():
+    # the coset test decides membership of any polynomial, binomial or not,
+    # in M(off Z) + I_+(rho), for saturated and p-saturated rho alike
+    rng = random.Random(29)
+    f25 = FiniteField(5, 2)
+    units_of = {
+        FiniteField(5): [FiniteField(5).scalar(k) for k in range(1, 5)],
+        f25: [f25.generator() ** k for k in range(24)],
+        CycloField(12): [zeta(12, k) for k in range(12)],
+    }
+    verdicts = {(kind, want): 0 for kind in ("saturated", "unsaturated") for want in (True, False)}
+    fields = set()
+    for i in _binomial_ideals_for_containment(random.Random(28), 30):
+        ring = i.ring
+        for _, rho in cell_scan(i):
+            rho_p = p_saturation(rho)
+            chars = [rho_p]
+            try:
+                chars += character_saturations(rho_p)
+            except (RootNotInField, RootNotCyclotomic):  # the field lacks a root
+                pass
+            for s in {c.key(): c for c in chars}.values():
+                prime = character_prime_ideal(ring, s)
+                kind = "saturated" if s.is_saturated() else "unsaturated"
+                units = next(u for f, u in units_of.items() if f == ring.field)
+                for f in _polynomials_around(s, ring, units, rng):
+                    want = prime.contains(f)
+                    assert ideal_contains(s, [f]) == want, (s, f)
+                    verdicts[kind, want] += 1
+                    fields.add(repr(ring.field))
+    assert len(fields) == 3, fields
+    assert min(verdicts.values()) >= 40, verdicts
+
+
 def test_certificate_compares_characters_like_prime_ideals():
     # primary_decomposition checks each component's radical by comparing the
     # test's saturated character with the component's: by ES Thm 2.1 that
@@ -681,6 +758,35 @@ def test_localize_builds_no_prime_ideal_of_j(monkeypatch):
     for P in (Ideal(R, (x - y,)), Ideal(R, (x - y, y**2 - z))):
         assert localize(P, P, (0, 1, 2)) is P
     assert calls == []
+
+
+def test_localize_skips_held_primes_without_a_prime_ideal(monkeypatch):
+    # an embedded prime that holds an earlier separating polynomial is
+    # skipped on the coset test, with no prime ideal built, and the one
+    # saturation still gives I_(J)
+    calls, skips = [], []
+
+    def counted(ring, rho):
+        calls.append(rho)
+        return character_prime_ideal(ring, rho)
+
+    def recorded(rho, gens):
+        held = ideal_contains(rho, gens)
+        skips.append(held)
+        return held
+
+    monkeypatch.setattr(decompose, "character_prime_ideal", counted)
+    monkeypatch.setattr(decompose, "ideal_contains", recorded)
+    fired = 0
+    for i, j, cell in _localization_inputs():
+        calls.clear()
+        skips.clear()
+        out = localize(i, j, cell)
+        assert calls == [], (i, j)
+        if any(skips):
+            fired += 1
+            assert out.key() == _localize_loop(i, j, cell, {}).key(), (i, j)
+    assert fired >= 20, fired
 
 
 def _frobenius_power(p_ideal, q):

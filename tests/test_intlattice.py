@@ -193,3 +193,37 @@ def test_saturation_matches_double_kernel():
         rows = [[rnd.randint(-8, 8) for _ in range(n)] for _ in range(rnd.randint(0, n))]
         lat = Lattice(n, rows)
         assert lat.saturation() == double_kernel_saturation(lat)
+
+
+def test_reduce_picks_one_representative_per_coset():
+    # r depends only on v + L, v = r + sum coords_i basis_i, every pivot
+    # entry of r lies in [0, pivot), and r = 0 exactly for v in L
+    rnd = random.Random(29)
+    members = 0
+    for _ in range(300):
+        n = rnd.randint(2, 5)
+        rows = [[rnd.randint(-6, 6) for _ in range(n)] for _ in range(rnd.randint(1, n - 1))]
+        lat = Lattice(n, rows)
+        assert lat.rank < n
+        v = [rnd.randint(-20, 20) for _ in range(n)]
+        if rnd.randrange(3) == 0:  # a lattice vector
+            v = [0] * n
+            for row in lat.basis:
+                k = rnd.randint(-3, 3)
+                v = [x + k * y for x, y in zip(v, row)]
+        r, coords = lat.reduce(v)
+        shifted = list(v)
+        for row in lat.basis:
+            k = rnd.randint(-5, 5)
+            shifted = [x + k * y for x, y in zip(shifted, row)]
+        assert lat.reduce(shifted)[0] == r
+        back = list(r)
+        for k, row in zip(coords, lat.basis):
+            back = [x + k * y for x, y in zip(back, row)]
+        assert back == v
+        for row in lat.basis:
+            pj = next(j for j, x in enumerate(row) if x)
+            assert 0 <= r[pj] < row[pj]
+        assert (not any(r)) == (lat.express(v) is not None)
+        members += not any(r)
+    assert 50 <= members <= 250, members

@@ -248,9 +248,12 @@ CONTAINS_CALLERS = {
         ("decompose.py", "radical"),
         ("decompose.py", "minimal_prime_entries"),
         ("decompose.py", "_prime_below"),
+        ("decompose.py", "localize"),
     },
 }
-CHARACTER_COMPARERS = ("_prime_below", "minimal_prime_entries", "primary_test", "radical")
+CHARACTER_COMPARERS = (
+    "_prime_below", "localize", "minimal_prime_entries", "primary_test", "radical",
+)
 
 
 def _is_self_check(node):
