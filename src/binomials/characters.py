@@ -288,7 +288,7 @@ def free_variables(rho):
     """The cell variables x_v whose column holds no pivot of the Hermite
     basis of rho's lattice: the only ones a lattice ideal on the cell needs
     saturating at (proof at `ideal_from_character`)."""
-    pivots = {next(j for j, x in enumerate(row) if x) for row in rho.lattice.basis}
+    pivots = set(rho.lattice.pivots())
     return [v for j, v in enumerate(rho.cell) if j not in pivots]
 
 
@@ -303,11 +303,14 @@ def cell_character(gens, cell, field):
 
     This is the one place a character is read.  `cell_scan` passes the
     cached reduced degrevlex basis of the whole ideal, and
-    `character_from_cellular` the same basis of a cellular ideal, where
-    the elements on the cell generate I ∩ k[cell] (proof there).  `gens`
-    should be a reduced Groebner basis, which is binomial exactly when the
-    ideal is (ES §1); an element left with three or more terms on the cell
-    raises NotBinomial.
+    `character_from_cellular` the same basis of a cellular ideal, and
+    `decompose._witness_character` the binomial and monomial generators of
+    a witness colon; in both the elements on the cell generate
+    I ∩ k[cell] (proof at `character_from_cellular`).  A reduced Groebner
+    basis is binomial exactly when the ideal is (ES §1), so an element left
+    with three or more terms on the cell raises NotBinomial; only a basis
+    reading can raise it, which is why its message names a reduced basis
+    element.
     """
     cell = tuple(cell)
     inside = set(cell)
@@ -352,6 +355,9 @@ def character_from_cellular(i, cell):
     would lie in I.  So G ∩ k[Z] generates I ∩ k[Z], and those are exactly
     the elements `cell_character` reads.  For the unit ideal the basis is
     {1} and the reading is None; with the full cell φ is the identity.
+    Nothing here needs G to be a Groebner basis, so the same reading holds
+    for the binomial and monomial generators of a witness colon
+    (`decompose._witness_character`).
     """
     cell = tuple(sorted(cell))
     rho = cell_character(i.gb().polys, cell, i.ring.field)

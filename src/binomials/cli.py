@@ -12,6 +12,10 @@ circuits.  Ideals may also be given by a character block:
 
     ideal L = character [x,y] [[1,-1]] [1];
 
+Each command builds one record (`run_command`); `--json` prints the
+records, and otherwise `report_lines` renders the plain-text report from
+them, so the report holds nothing the record does not.
+
 Exit codes: 0 success, 1 usage/parse error, 2 mathematical error.
 """
 
@@ -284,20 +288,6 @@ def _gens_text(ideal, order):
     return [render_poly(g) for g in ideal.gb(order).polys] or ["0"]
 
 
-def _cells_names(ring, cell):
-    return [ring.names[v] for v in cell]
-
-
-def _component_entry(ring, order, pc):
-    return {
-        "generators": _gens_text(pc.ideal, order),
-        "cell": _cells_names(ring, pc.cell),
-        "associated_prime": _gens_text(pc.prime, order),
-        "embedded": pc.embedded,
-        "multiplicity": pc.multiplicity,
-    }
-
-
 def _laurent_multiplicity(pc):
     """|Sat_p(L_tau)/L_tau| for the component's own cell character."""
     try:
@@ -307,120 +297,82 @@ def _laurent_multiplicity(pc):
     return laurent_multiplicity(tau)
 
 
+def _distinct_cells(components):
+    return [list(c) for c in sorted({tuple(comp["cell"]) for comp in components})]
+
+
 def run_command(cmd, name, ideal, order, verify):
-    """Execute one command; returns (json_record, human_text_lines)."""
+    """Execute one command and return its JSON record; `report_lines`
+    renders the plain-text report from that record."""
     ring = ideal.ring
     rec = {
         "command": cmd,
         "input": {"name": name, "generators": [render_poly(g) for g in ideal.gens]},
         "field": repr(ring.field),
         "cells": [],
-        "components": [],
         "certificates": {},
     }
-    lines = [f"== {cmd} {name}"]
+    certs = rec["certificates"]
+
+    def component(j, cell=None, **fields):
+        """One entry of rec["components"]: j's generators, its cell's names
+        when given, and the command's own fields."""
+        if cell is not None:
+            fields["cell"] = [ring.names[v] for v in cell]
+        return {"generators": _gens_text(j, order), **fields}
+
     if cmd == "radical":
         out = radical(ideal)
         rec["field"] = repr(effective_field(ring, [out]))
-        rec["components"] = [{"generators": _gens_text(out, order)}]
-        lines += ["radical = " + ", ".join(_gens_text(out, order))]
+        comps = [component(out)]
         if verify:
-            ok = out.contains(ideal)
-            rec["certificates"]["contains_input"] = ok
-            lines += [f"contains input: {ok}"]
+            certs["contains_input"] = out.contains(ideal)
     elif cmd == "minprimes":
         entries = minimal_prime_entries(ideal)
-        rec["field"] = repr(effective_field(ring, [p for _, _, p in entries]))
-        rec["cells"] = [_cells_names(ring, c) for c, _, _ in entries]
-        rec["components"] = [
-            {
-                "generators": _gens_text(p, order),
-                "cell": _cells_names(ring, c),
-                "character": s.serialize(ring.names),
-            }
-            for c, s, p in entries
-        ]
-        lines += [f"{len(entries)} minimal prime{'s' if len(entries) != 1 else ''}:"]
-        for c, _, p in entries:
-            lines += [f"  cell {{{','.join(_cells_names(ring, c))}}}: " + ", ".join(_gens_text(p, order))]
+        primes = [p for _, _, p in entries]
+        rec["field"] = repr(effective_field(ring, primes))
+        comps = [component(p, c, character=s.serialize(ring.names)) for c, s, p in entries]
+        rec["cells"] = [comp["cell"] for comp in comps]
         if verify:
-            ok = intersect_all([p for _, _, p in entries], ring) == radical(ideal)
-            rec["certificates"]["intersection_is_radical"] = ok
-            lines += [f"intersection equals radical: {ok}"]
+            certs["intersection_is_radical"] = intersect_all(primes, ring) == radical(ideal)
     elif cmd == "cellular":
-        comps = cellular_decomposition(ideal)
-        rec["cells"] = [_cells_names(ring, c.cell) for c in comps]
-        rec["components"] = [
-            {
-                "generators": _gens_text(c.ideal, order),
-                "cell": _cells_names(ring, c.cell),
-                "exponents": list(c.exponents),
-            }
-            for c in comps
-        ]
-        rec["certificates"]["intersection_verified"] = True
-        lines += [f"{len(comps)} cellular component{'s' if len(comps) != 1 else ''}:"]
-        for c in comps:
-            lines += [f"  cell {{{','.join(_cells_names(ring, c.cell))}}}: " + ", ".join(_gens_text(c.ideal, order))]
+        comps = [component(c.ideal, c.cell, exponents=list(c.exponents))
+                 for c in cellular_decomposition(ideal)]
+        rec["cells"] = [comp["cell"] for comp in comps]
+        certs["intersection_verified"] = True
     elif cmd == "assprimes":
         ok, cell = is_cellular(ideal)
         if ok:
-            chars = associated_prime_characters(ideal, cell)
-            prime_list = [(s, character_prime_ideal(ring, s), cell) for s in chars]
+            comps = [component(character_prime_ideal(ring, s), cell,
+                               character=s.serialize(ring.names))
+                     for s in associated_prime_characters(ideal, cell)]
         else:
-            comps = primary_decomposition(ideal)
-            prime_list = [(pc.char, pc.prime, pc.cell) for pc in comps]
-        rec["cells"] = sorted({tuple(_cells_names(ring, c)) for _, _, c in prime_list})
-        rec["cells"] = [list(c) for c in rec["cells"]]
-        rec["components"] = [
-            {
-                "generators": _gens_text(p, order),
-                "cell": _cells_names(ring, c),
-                "character": s.serialize(ring.names) if s else None,
-            }
-            for s, p, c in prime_list
-        ]
-        lines += [f"{len(prime_list)} associated prime{'s' if len(prime_list) != 1 else ''}:"]
-        for _, p, c in prime_list:
-            lines += ["  " + ", ".join(_gens_text(p, order))]
+            comps = [component(pc.prime, pc.cell, character=pc.char.serialize(ring.names))
+                     for pc in primary_decomposition(ideal)]
+        rec["cells"] = _distinct_cells(comps)
     elif cmd == "isprimary":
         rep = is_primary(ideal)
-        rec["certificates"]["primary"] = rep.primary
-        rec["components"] = [{"generators": _gens_text(rep.radical, order), "role": "radical"}]
-        lines += [f"primary: {'YES' if rep.primary else 'NO'}"]
-        lines += ["radical = " + ", ".join(_gens_text(rep.radical, order))]
-        if not rep.primary and rep.witnesses:
-            for w in rep.witnesses:
-                rec["components"].append({"generators": _gens_text(w, order), "role": "associated prime"})
-                lines += ["associated prime: " + ", ".join(_gens_text(w, order))]
-            if rep.reason:
-                rec["certificates"]["reason"] = rep.reason
+        certs["primary"] = rep.primary
+        comps = [component(rep.radical, role="radical")]
+        # only a NO answer carries witnesses, and then a reason
+        if rep.witnesses:
+            comps += [component(w, role="associated prime") for w in rep.witnesses]
+            certs["reason"] = rep.reason
     elif cmd == "hull":
         out = hull(ideal)
-        binom = out.is_binomial()
-        rec["components"] = [{"generators": _gens_text(out, order)}]
-        rec["certificates"]["binomial"] = binom
-        lines += ["hull = " + ", ".join(_gens_text(out, order))]
-        lines += [f"binomial: {binom}"]
+        comps = [component(out)]
+        certs["binomial"] = out.is_binomial()
     elif cmd == "primary":
-        comps = primary_decomposition(ideal)
-        for pc in comps:
-            pc.multiplicity = _laurent_multiplicity(pc)
-        rec["field"] = repr(effective_field(ring, [pc.ideal for pc in comps], [pc.prime for pc in comps]))
-        rec["cells"] = sorted({tuple(_cells_names(ring, pc.cell)) for pc in comps})
-        rec["cells"] = [list(c) for c in rec["cells"]]
-        rec["components"] = [_component_entry(ring, order, pc) for pc in comps]
+        pcs = primary_decomposition(ideal)
+        rec["field"] = repr(effective_field(ring, [pc.ideal for pc in pcs], [pc.prime for pc in pcs]))
+        comps = [
+            component(pc.ideal, pc.cell, associated_prime=_gens_text(pc.prime, order),
+                      embedded=pc.embedded, multiplicity=_laurent_multiplicity(pc))
+            for pc in pcs
+        ]
+        rec["cells"] = _distinct_cells(comps)
         # primary_decomposition raises unless both certificates hold
-        rec["certificates"] = {"intersection_verified": True, "primary_certified": True}
-        lines += [f"{len(comps)} primary component{'s' if len(comps) != 1 else ''}:"]
-        for pc in comps:
-            tag = "embedded" if pc.embedded else "minimal"
-            mult = f", multiplicity {pc.multiplicity}" if pc.multiplicity else ""
-            lines += [
-                f"  [{tag}{mult}] cell {{{','.join(_cells_names(ring, pc.cell))}}}: "
-                + ", ".join(_gens_text(pc.ideal, order))
-            ]
-            lines += ["    prime: " + ", ".join(_gens_text(pc.prime, order))]
+        certs.update(intersection_verified=True, primary_certified=True)
     elif cmd == "circuits":
         rho = character_from_cellular(ideal, tuple(range(ring.nvars)))
         if not rho.is_saturated():
@@ -428,34 +380,75 @@ def run_command(cmd, name, ideal, order, verify):
                 "circuits: the saturated lattice of the input is not saturated; "
                 "provide a toric (prime) input"
             )
-        ci = circuit_ideal(ring, rho)
-        vecs = rho.lattice.circuits()
-        rec["components"] = [{"generators": _gens_text(ci, order)}]
-        rec["circuits"] = [[str(x) for x in v] for v in vecs]
+        comps = [component(circuit_ideal(ring, rho))]
+        rec["circuits"] = [[str(x) for x in v] for v in rho.lattice.circuits()]
         rec["character"] = rho.serialize(ring.names)
-        lines += [f"{len(vecs)} circuit{'s' if len(vecs) != 1 else ''}:"]
-        for v in vecs:
-            lines += ["  (" + ", ".join(map(str, v)) + ")"]
-        lines += ["circuit ideal = " + ", ".join(_gens_text(ci, order))]
     else:  # pragma: no cover
         raise ValueError(cmd)
-    return rec, lines
+    rec["components"] = comps
+    return rec
+
+
+# the certificates the plain-text report prints, in this order, when present
+_CERTIFICATE_LINES = (
+    ("contains_input", "contains input"),
+    ("intersection_is_radical", "intersection equals radical"),
+    ("binomial", "binomial"),
+)
+
+# the noun of each command that lists its components
+_LISTED = {
+    "minprimes": "minimal prime",
+    "cellular": "cellular component",
+    "assprimes": "associated prime",
+    "primary": "primary component",
+}
+
+
+def _count(n, noun):
+    return f"{n} {noun}{'s' if n != 1 else ''}:"
+
+
+def report_lines(rec):
+    """The plain-text report of one command, read off its JSON record."""
+    cmd, comps, certs = rec["command"], rec["components"], rec["certificates"]
+    gens = [", ".join(comp["generators"]) for comp in comps]
+    lines = [f"== {cmd} {rec['input']['name']}"]
+    if cmd in ("radical", "hull"):
+        lines.append(f"{cmd} = {gens[0]}")
+    elif cmd == "isprimary":
+        lines.append(f"primary: {'YES' if certs['primary'] else 'NO'}")
+        lines.append(f"radical = {gens[0]}")
+        lines += [f"associated prime: {g}" for g in gens[1:]]
+    elif cmd == "circuits":
+        lines.append(_count(len(rec["circuits"]), "circuit"))
+        lines += [f"  ({', '.join(v)})" for v in rec["circuits"]]
+        lines.append(f"circuit ideal = {gens[0]}")
+    else:
+        lines.append(_count(len(comps), _LISTED[cmd]))
+        for comp, g in zip(comps, gens):
+            cell = "" if cmd == "assprimes" else f"cell {{{','.join(comp['cell'])}}}: "
+            if cmd == "primary":
+                tag = "embedded" if comp["embedded"] else "minimal"
+                mult = f", multiplicity {comp['multiplicity']}" if comp["multiplicity"] else ""
+                lines.append(f"  [{tag}{mult}] {cell}{g}")
+                lines.append(f"    prime: {', '.join(comp['associated_prime'])}")
+            else:
+                lines.append(f"  {cell}{g}")
+    lines += [f"{label}: {certs[key]}" for key, label in _CERTIFICATE_LINES if key in certs]
+    return lines
 
 
 def run_session(session, order=DEGREVLEX, verify=False, json_mode=False):
     records = []
-    lines = []
     for cmd, name in session.commands:
         try:
-            rec, ls = run_command(cmd, name, session.ideals[name], order, verify)
+            records.append(run_command(cmd, name, session.ideals[name], order, verify))
         except BinomialsError as exc:
             raise CommandFailure(cmd, name, exc)
-        records.append(rec)
-        lines.extend(ls)
     if json_mode:
-        doc = {"results": records}
-        return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-    return "\n".join(lines) + "\n"
+        return json.dumps({"results": records}, sort_keys=True, indent=1) + "\n"
+    return "\n".join(line for rec in records for line in report_lines(rec)) + "\n"
 
 
 class CommandFailure(BinomialsError):

@@ -4,8 +4,11 @@ The cell scan underlying the radical and minimal-prime computations works
 per coordinate cell Z: substitute the off-cell variables by zero in the
 reduced Groebner basis and read the partial character straight off the
 binomials that remain (ES Thm 2.1), with no Groebner run per cell.  The
-character of a cellular piece and the witness checks of `primary_test` are
-read the same way, off the piece's own reduced basis, with no elimination.
+character of a cellular piece is read the same way, off the piece's own
+reduced basis, with no elimination; the witness colons of
+`associated_prime_characters` and `primary_test` are read off the binomial
+and monomial generators of their colon-tree nodes, with no Groebner run of
+their own (`_witness_character`).
 Decomposition proper runs the witness/standard-monomial machinery on
 cellular pieces, removes embedded primes by one saturation per hull, and
 certifies every output (exact intersection, primary test) before returning
@@ -40,7 +43,7 @@ from itertools import combinations
 from math import lcm, prod
 
 from . import checks
-from .errors import BinomialsError, EscalationLimit
+from .errors import BinomialsError, EscalationLimit, MonomialInIdeal
 from .characters import (
     PartialCharacter,
     cell_character,
@@ -82,7 +85,7 @@ class CellularComponent:
 
 
 class PrimaryComponent:
-    __slots__ = ("ideal", "prime", "char", "cell", "embedded", "multiplicity")
+    __slots__ = ("ideal", "prime", "char", "cell", "embedded")
 
     def __init__(self, ideal, prime, char, cell):
         self.ideal = ideal
@@ -90,7 +93,6 @@ class PrimaryComponent:
         self.char = char
         self.cell = tuple(cell)
         self.embedded = False  # set once all candidates are known
-        self.multiplicity = None  # set by the CLI's `primary` command
 
     def __repr__(self):
         flag = "embedded" if self.embedded else "minimal"
@@ -298,11 +300,11 @@ def primary_test(i, cell=None):
     which decides non-cellular input too.
 
     Each witness colon (I : x^m) is cellular with the same cell, so the
-    elements of its reduced degrevlex basis that involve no off-cell
-    variable generate (I : x^m) ∩ k[cell] (proof at
-    `character_from_cellular`), and their character tau is read off that
-    basis.  The lattice ideal of sigma contains them iff sigma extends tau
-    (ES Thm 2.1), so no membership test runs.
+    generators of its colon-tree node that involve no off-cell variable
+    generate (I : x^m) ∩ k[cell] (proof at `character_from_cellular`), and
+    their character tau is read off them (`_witness_character`), with no
+    Groebner run of the colon.  The lattice ideal of sigma contains them
+    iff sigma extends tau (ES Thm 2.1), so no membership test runs.
     """
     if cell is None:
         return is_primary(i)
@@ -322,7 +324,7 @@ def primary_test(i, cell=None):
     for m in maximal:
         if not any(m):
             continue
-        tau = character_from_cellular(colon_monomial(i, ring.monomial(m)), cell)
+        tau = _witness_character(i, m, cell)
         if sigma.extends(tau):
             continue
         w2 = character_prime_ideal(ring, character_saturations(p_saturation(tau))[0])
@@ -353,6 +355,26 @@ def is_primary(i):
     return PrimaryTestReport(False, rad, None, witnesses, "ideal is not cellular")
 
 
+def _witness_character(i, m, cell):
+    """The character of the witness colon (I : x^m) of the cellular I on
+    its (sorted) cell, with no Groebner run of the colon's own.
+
+    For m ≠ 0 the colon is a node of I's colon tree, generated by the
+    revlex basis of a binomial ideal divided by monomials: binomials and
+    monomials, which is all the proof at `character_from_cellular` needs
+    (ES Cor 1.2).  The colon is cellular with I's cell, as every cell
+    variable stays a nonzerodivisor modulo (I : x^m).  For m = 0 the colon
+    is I itself, whose generators need not be binomials, so it is read off
+    I's reduced basis, which `standard_monomials` has already built."""
+    if not any(m):
+        return character_from_cellular(i, cell)
+    colon = colon_monomial(i, i.ring.monomial(m))
+    rho = cell_character(colon.gens, cell, i.ring.field)
+    if rho is None:
+        raise MonomialInIdeal("cell ideal contains a monomial in the cell variables")
+    return rho
+
+
 def associated_prime_characters(i, cell):
     """Saturated characters of all associated primes of a cellular ideal,
     one witness colon per standard monomial, duplicate-free and ordered.
@@ -363,7 +385,7 @@ def associated_prime_characters(i, cell):
     stand, _ = standard_monomials(i, off)
     taus = {}
     for m in stand:
-        tau = character_from_cellular(colon_monomial(i, ring.monomial(m)), cell)
+        tau = _witness_character(i, m, cell)
         taus.setdefault(tau.key(), tau)
     primes = {}
     for tau in taus.values():

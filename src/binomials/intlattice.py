@@ -218,13 +218,14 @@ def smith_normal_form(rows):
 class Lattice:
     """Sublattice of ZZ^n, stored via its row HNF basis (canonical form)."""
 
-    __slots__ = ("ambient", "basis", "_diagonal")
+    __slots__ = ("ambient", "basis", "_diagonal", "_pivots")
 
     def __init__(self, ambient, rows=()):
         self.ambient = ambient
         reduced = hnf(rows) if rows else []
         self.basis = tuple(tuple(r) for r in reduced)
         self._diagonal = None
+        self._pivots = None
 
     @classmethod
     def full(cls, n):
@@ -265,13 +266,20 @@ class Lattice:
         """
         r = list(v)
         coords = []
-        for row in self.basis:
-            pj = next(j for j, x in enumerate(row) if x)
+        for row, pj in zip(self.basis, self.pivots()):
             q = r[pj] // row[pj]
             coords.append(q)
             if q:
                 r = [x - q * y for x, y in zip(r, row)]
         return r, coords
+
+    def pivots(self):
+        """The pivot column of each Hermite basis row.  Kept once per
+        lattice, and found on first use, since `PartialCharacter` sets the
+        basis of a lattice it builds after construction."""
+        if self._pivots is None:
+            self._pivots = tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
+        return self._pivots
 
     def express(self, v):
         """Integer coordinates of v in the HNF basis, or None."""

@@ -316,3 +316,65 @@ def test_large_saturation_exponent_answers():
         assert proc.returncode == 0, proc.stderr
         assert "cell {x,y,z}: y - z" in proc.stdout
         assert want in proc.stdout
+
+
+# The plain-text report is rendered from the JSON record; these literal
+# reports were recorded from the CLI when each branch still built its own
+# text, and cover what no reference digest does.
+
+def test_assprimes_hull_isprimary_report_on_a_cellular_input():
+    text = "ring QQ[x,y,z]; ideal I = x^2, x*y - x*z; assprimes I; hull I; isprimary I;"
+    assert run(text) == (
+        "== assprimes I\n2 associated primes:\n  x\n  y - z, x\n"
+        "== hull I\nhull = x\nbinomial: True\n"
+        "== isprimary I\nprimary: NO\nradical = x\n"
+        "associated prime: x\nassociated prime: y - z, x\n"
+    )
+    certs = [rec["certificates"] for rec in json.loads(run(text, json_mode=True))["results"]]
+    assert certs == [{}, {"binomial": True}, {
+        "primary": False, "reason": "witness monomial exhibits a second associated prime"}]
+
+
+def test_assprimes_hull_isprimary_report_on_a_non_cellular_input():
+    text = "ring QQ[x,y,z]; ideal I = x^2-y^2, x*z^2; assprimes I; hull I; isprimary I;"
+    assert run(text) == (
+        "== assprimes I\n3 associated primes:\n  z, x + y\n  z, x - y\n  y, x\n"
+        "== hull I\nhull = x^2 - y^2, x*z^2, y^2*z^2\nbinomial: True\n"
+        "== isprimary I\nprimary: NO\nradical = y*z, x*z, x^2 - y^2\n"
+        "associated prime: z, x + y\nassociated prime: z, x - y\n"
+    )
+    doc = json.loads(run(text, json_mode=True))
+    assert doc["results"][2]["certificates"] == {"primary": False, "reason": "ideal is not cellular"}
+
+
+def test_isprimary_report_when_the_radical_is_not_prime():
+    text = "ring QQ[x,y]; ideal I = x^2 - 1, y - 1; isprimary I;"
+    assert run(text) == (
+        "== isprimary I\nprimary: NO\nradical = y - 1, x^2 - 1\n"
+        "associated prime: y - 1, x - 1\nassociated prime: y - 1, x + 1\n"
+    )
+    (rec,) = json.loads(run(text, json_mode=True))["results"]
+    assert rec["certificates"] == {"primary": False, "reason": "radical is not prime"}
+    assert [c["role"] for c in rec["components"]] == ["radical", "associated prime", "associated prime"]
+
+
+def test_verify_lines_of_radical_and_minprimes():
+    text = "ring QQ[x,y]; ideal I = x^2-y^2; radical I; minprimes I;"
+    assert run(text, verify=True) == (
+        "== radical I\nradical = x^2 - y^2\ncontains input: True\n"
+        "== minprimes I\n2 minimal primes:\n  cell {x,y}: x + y\n  cell {x,y}: x - y\n"
+        "intersection equals radical: True\n"
+    )
+    assert "contains input" not in run(text)
+
+
+def test_witness_commands_on_non_binomial_generators(tmp_path, capsys):
+    # the generators are not binomials, but the reduced basis y - z, x - z is
+    path = tmp_path / "lines.txt"
+    path.write_text("ring QQ[x,y,z]; ideal I = x - z, x + y - 2*z; "
+                    "primary I; assprimes I; isprimary I;\n")
+    assert main([str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "1 primary component:\n  [minimal, multiplicity 1] cell {x,y,z}: y - z, x - z\n" in out
+    assert "1 associated prime:\n  y - z, x - z\n" in out
+    assert "primary: YES\n" in out

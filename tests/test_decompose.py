@@ -1210,3 +1210,48 @@ def test_hull_and_components_agree_with_the_f25_variety_oracle():
     assert checked >= 130 and embedded >= 10, (checked, embedded)
     checked, embedded = check([rng.sample(all_generators(), 3) for _ in range(60)])
     assert checked >= 55 and embedded >= 1, (checked, embedded)
+
+
+def _witness_colons(i, cell):
+    """(m, I : x^m) for every standard monomial m ≠ 0 of the cellular I."""
+    off = [v for v in range(i.ring.nvars) if v not in cell]
+    stand, _ = ideals.standard_monomials(i, off)
+    return [(m, ideals.colon_monomial(i, i.ring.monomial(m))) for m in stand if any(m)]
+
+
+def test_witness_colon_characters_read_off_generators_match_their_bases():
+    # the colon-tree generators are binomials and monomials, which is all
+    # the proof at character_from_cellular needs; the reduced basis is the
+    # reference reading
+    colons = 0
+    for i in [i for i, j, _ in _localization_inputs() if j is i]:
+        _, cell = is_cellular(i)
+        for m, colon in _witness_colons(i, cell):
+            reference = character_from_cellular(colon, cell)
+            assert cell_character(colon.gens, cell, i.ring.field) == reference, (i, m)
+            assert decompose._witness_character(i, m, cell) == reference, (i, m)
+            colons += 1
+    assert colons >= 100, colons
+
+
+def test_associated_prime_scan_builds_no_basis_of_a_colon(monkeypatch):
+    made = []
+
+    def recording(i, m):
+        out = ideals.colon_monomial(i, m)
+        made.append((i, out))
+        return out
+
+    monkeypatch.setattr(decompose, "colon_monomial", recording)
+    rng = random.Random(30)
+    for make in [_cellular_with_embedded_primes] * 10:
+        i, cell = make(rng)
+        if i.is_unit():
+            continue
+        try:
+            associated_prime_characters(i, cell)
+        except (RootNotInField, RootNotCyclotomic):
+            continue
+    colons = [colon for i, colon in made if colon is not i]
+    assert len(colons) >= 10
+    assert all(colon._gb == {} for colon in colons)

@@ -15,7 +15,8 @@ or ideal key.  A finite field walks its unit group only
 in its table builder.  An ideal is one object: nothing in the engine copies
 it into a second one generated by its cached basis.  A Groebner run sees
 monomials only as packed ints.  The README's quick
-example prints what it says it prints.
+example prints what it says it prints.  The CLI's plain-text report is
+rendered from the JSON record alone: `run_command` formats no text.
 """
 
 import ast
@@ -31,6 +32,7 @@ import sys
 from pathlib import Path
 
 from binomials import cli as binomials_cli
+from binomials.decompose import PrimaryComponent
 from binomials.ideals import Ideal
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -381,3 +383,15 @@ def test_readme_quick_example_prints_its_comment_lines():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_the_text_report_is_rendered_only_from_the_record():
+    # run_command builds the record and no text; report formatting lives in
+    # report_lines, and the CLI writes nothing into engine objects
+    tree = ast.parse((ENGINE / "cli.py").read_text())
+    (run_command,) = [n for n in tree.body
+                      if isinstance(n, ast.FunctionDef) and n.name == "run_command"]
+    nodes = list(ast.walk(run_command))
+    assert not [n for n in nodes if isinstance(n, ast.JoinedStr)]
+    assert "lines" not in {n.id for n in nodes if isinstance(n, ast.Name)}
+    assert "multiplicity" not in PrimaryComponent.__slots__
