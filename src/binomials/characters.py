@@ -24,9 +24,9 @@ from .errors import (
     RootNotInField,
 )
 from .ideals import Ideal, cell_product, saturate_monomial
-from .intlattice import Lattice, hnf_with_transform
+from .intlattice import Lattice, hnf_with_transform, p_part
 from .poly import render_poly
-from .scalars import p_part, render_scalar, scalar_key
+from .scalars import render_scalar, scalar_key
 
 
 def _evaluate(field, coefs, values):

@@ -30,6 +30,7 @@ from .errors import (
     NotTwoTerm,
 )
 from .groebner import groebner_basis
+from .intlattice import p_part
 from .poly import (
     DEGREVLEX,
     MonomialOrder,
@@ -40,7 +41,6 @@ from .poly import (
     mono_divides,
     render_poly,
 )
-from .scalars import p_part
 
 # rounds of every escalation loop (exponent doublings, Frobenius powers)
 # before it gives up with EscalationLimit

@@ -10,7 +10,17 @@ from itertools import combinations
 from math import gcd, prod
 
 from . import checks
-from .scalars import p_part
+
+
+def p_part(d, p):
+    """The largest power of p dividing d; 1 when p = 0 (characteristic zero)."""
+    if p == 0:
+        return 1
+    q = 1
+    while d % p == 0:
+        d //= p
+        q *= p
+    return q
 
 
 def _identity(n):

@@ -24,7 +24,11 @@ rows of ``_embedding`` (the powers of zeta_m that the basis of QQ(zeta_n)
 becomes) lift the numerators.  A lift keeps lowest terms: Z[zeta_m] is free
 over Z[zeta_n] on a basis that contains 1, so a prime dividing every lifted
 numerator divides every original one.  Equal elements therefore have equal
-denominators, and at one order equal numerators.
+denominators, and at one order equal numerators.  ``key`` reads an element's
+minimal field off the integer Hermite form of those rows: for each m dividing
+N in ascending order, the numerators lie in the row lattice of
+``_embedding(m, N)`` exactly when the element lies in QQ(zeta_m), as
+Z[zeta_N] ∩ QQ(zeta_m) = Z[zeta_m], and the first such m is the minimal one.
 
 Each finite field keeps one table of its unit group, built on first use by
 walking the powers of a generator g with the kernel: exp[i] = g^i, the log of
@@ -49,6 +53,7 @@ from .errors import (
     RootNotCyclotomic,
     RootNotInField,
 )
+from .intlattice import Lattice, hnf_with_transform, mat_mul, p_part
 
 
 def euler_phi(n):
@@ -68,17 +73,6 @@ def divisors(n):
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def p_part(d, p):
-    """The largest power of p dividing d; 1 when p = 0 (characteristic zero)."""
-    if p == 0:
-        return 1
-    q = 1
-    while d % p == 0:
-        d //= p
-        q *= p
-    return q
 
 
 def factorint(n):
@@ -444,57 +438,28 @@ class CycloElement:
         return self._key
 
     def _minimal(self):
+        """The element a = num/den as (m, its coordinates in QQ(zeta_m)) for
+        the least m dividing N with a in QQ(zeta_m).
+
+        Whether a lies in QQ(zeta_m) is an integer lattice question, for
+        three reasons: den·a has the integer coordinates num, so it lies in
+        Z[zeta_N]; the rows of _embedding(m, N), the powers of zeta_m in
+        QQ(zeta_N), are a Z-basis of Z[zeta_m]; and Z[zeta_N] ∩ QQ(zeta_m) =
+        Z[zeta_m] (Washington, Introduction to Cyclotomic Fields, ch. 2).
+        So a lies in QQ(zeta_m) exactly when num is an integer combination x
+        of those rows, and then x/den are a's coordinates there.  One Hermite
+        form T·rows = H answers both: num reduces to zero by H exactly when
+        it lies in their span, with coordinates c, and then x = c·T.
+        """
         for m in divisors(self.order)[:-1]:
-            sol = _solve_fraction_system(_embedding(m, self.order), self.num)
-            if sol is not None:
-                return (m, tuple([c / self.den for c in sol]))
+            h, t = hnf_with_transform(_embedding(m, self.order))
+            lat = Lattice(len(self.num))
+            lat.basis = tuple(map(tuple, h))  # the rows are independent
+            coords = lat.express(self.num)
+            if coords is not None:
+                return (m, tuple([Fraction(x, self.den) for x in mat_mul([coords], t)[0]]))
         # at m = N the element is its own representative
         return (self.order, self.coeffs)
-
-
-def _solve_fraction_system(rows, target):
-    """Solve x * rows = target over QQ (rows: tuples); None if inconsistent."""
-    if not rows:
-        return [] if not any(target) else None
-    m = [list(map(Fraction, row)) + [Fraction(0)] * 0 for row in rows]
-    ncols = len(m[0])
-    aug = [[m[i][j] for i in range(len(rows))] for j in range(ncols)]
-    rhs = list(target)
-    # Gaussian elimination on the (ncols x nrows) system aug * x = rhs
-    nrows = len(rows)
-    piv_cols = []
-    r = 0
-    for c in range(nrows):
-        piv = next((i for i in range(r, ncols) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        rhs[r] = rhs[r] * inv
-        for i in range(ncols):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-                rhs[i] = rhs[i] - f * rhs[r]
-        piv_cols.append(c)
-        r += 1
-    sol = [Fraction(0)] * nrows
-    for i, c in enumerate(piv_cols):
-        sol[c] = rhs[i]
-    for i in range(r, ncols):
-        if rhs[i]:
-            return None
-    # verify (cheap, guards rank-deficient corner cases)
-    for j in range(ncols):
-        acc = Fraction(0)
-        for i in range(nrows):
-            if sol[i]:
-                acc += sol[i] * rows[i][j]
-        if acc != target[j]:
-            return None
-    return sol
 
 
 def zeta(n, j=1):

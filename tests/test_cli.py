@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -316,6 +318,27 @@ def test_large_saturation_exponent_answers():
         assert proc.returncode == 0, proc.stderr
         assert "cell {x,y,z}: y - z" in proc.stdout
         assert want in proc.stdout
+
+
+def test_cyclotomic_order_990_session(tmp_path):
+    # every scalar's key searches the 23 proper divisors of 990 for its
+    # minimal field, one integer Hermite form each; the digests of the
+    # `--json` and plain-text reports were recorded from the Fraction solve
+    # it replaced, which took over 20 s per run on a 2-vCPU KVM guest
+    path = tmp_path / "z990.txt"
+    path.write_text("ring QQ(zeta 990)[x,y]; ideal I = x - z990*y, y^2 - z11; primary I;\n")
+    digests = {
+        ("--json",): "8ac9b3197c6ddf6f604174aa91c8224bb3eb76c7cabd01b14871f16da459f1a8",
+        (): "2ed62adaeac9add5d1149ff4bde7f8722a201996252e575a08b4eb4f5c0b7a97",
+    }
+    start = time.perf_counter()
+    for flags, digest in digests.items():
+        proc = subprocess.run([sys.executable, "-m", "binomials.cli", *flags, str(path)],
+                              capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, flags
+    assert b"prime: y - z22, x - z990^46\n" in proc.stdout
+    assert time.perf_counter() - start < 15
 
 
 # The plain-text report is rendered from the JSON record; these literal

@@ -50,9 +50,9 @@ from binomials.ideals import (
     saturate_monomial,
     saturate_poly,
 )
-from binomials.intlattice import Lattice
+from binomials.intlattice import Lattice, p_part
 from binomials.poly import Polynomial, Ring
-from binomials.scalars import QQ, CycloField, FiniteField, p_part, root_of_unity_order, zeta
+from binomials.scalars import QQ, CycloField, FiniteField, root_of_unity_order, zeta
 
 
 @pytest.fixture

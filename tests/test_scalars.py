@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
@@ -321,7 +322,8 @@ def ref_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] += x * y
+            if x and y:
+                out[i + j] += x * y
     return out
 
 
@@ -329,8 +331,11 @@ def ref_rem(num, f, p=0):
     """Remainder of num by the monic f by long division, padded to deg f."""
     num = list(num)
     while len(num) >= len(f):
-        shifted = [0] * (len(num) - len(f)) + [num[-1] * c for c in f]
-        num = [a - b for a, b in zip(num, shifted)][:-1]
+        lead = num.pop()  # subtract lead * z^k * f, k = len(num) - deg f
+        k = len(num) - (len(f) - 1)
+        for j, c in enumerate(f[:-1]):
+            if lead and c:
+                num[k + j] -= lead * c
     num += [0] * (len(f) - 1 - len(num))
     return [c % p for c in num] if p else num
 
@@ -375,13 +380,18 @@ def ref_value(a):
     return 1, [Fraction(a)]
 
 
+@lru_cache(maxsize=None)
+def ref_zeta_power(e, m):
+    """z_m^e in the power basis of QQ(zeta_m), by long division of z^(e mod m)."""
+    return tuple(ref_rem([0] * (e % m) + [1], cyclotomic_polynomial(m)))
+
+
 def ref_powers(cs, step, m):
-    """The sum of cs[i] * z_m^(i*step) in the power basis of QQ(zeta_m), by
-    long division."""
-    phi = cyclotomic_polynomial(m)
-    out = [Fraction(0)] * (len(phi) - 1)
+    """The sum of cs[i] * z_m^(i*step) in the power basis of QQ(zeta_m)."""
+    out = [Fraction(0)] * euler_phi(m)
     for i, c in enumerate(cs):
-        out = [o + c * r for o, r in zip(out, ref_rem([0] * (i * step) + [1], phi))]
+        if c:
+            out = [o + c * r if r else o for o, r in zip(out, ref_zeta_power(i * step, m))]
     return out
 
 
@@ -431,7 +441,7 @@ def ref_growth_bits(cs):
     return max(sum(abs(c.numerator) * (den // c.denominator) for c in cs), den).bit_length() - 1
 
 
-CYCLO_ORDERS = [3, 4, 5, 12, 15]
+CYCLO_ORDERS = [3, 4, 5, 6, 9, 12, 15, 30, 105]
 
 
 @pytest.mark.parametrize("n", CYCLO_ORDERS)
@@ -473,9 +483,9 @@ def test_cyclo_element_against_fraction_reference(n):
         for e in range(5):
             assert ref_eq(ref_value(a**e), power), (a, e)
             power = ref_times(power, x)
-        # the same element stored at order 60 is equal, hashes equal and has
-        # the same key, which reads the minimal order
-        big = stored_at(60, a)
+        # the same element stored at order lcm(n, 60) is equal, hashes equal
+        # and has the same key, which reads the minimal order
+        big = stored_at(lcm(n, 60), a)
         assert big == a and a == big and hash(big) == hash(a) and big.key() == a.key()
         d, cs = a.key()
         assert d == ref_minimal_order(x) and len(cs) == euler_phi(d)

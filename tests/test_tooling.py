@@ -17,6 +17,9 @@ it into a second one generated by its cached basis.  A Groebner run sees
 monomials only as packed ints.  The README's quick
 example prints what it says it prints.  The CLI's plain-text report is
 rendered from the JSON record alone: `run_command` formats no text.
+The engine's modules import each other only at module level and only
+downward through the layers of the package docstring's pipeline, so their
+imports are acyclic and `intlattice` imports nothing above `checks`.
 """
 
 import ast
@@ -395,3 +398,33 @@ def test_the_text_report_is_rendered_only_from_the_record():
     assert not [n for n in nodes if isinstance(n, ast.JoinedStr)]
     assert "lines" not in {n.id for n in nodes if isinstance(n, ast.Name)}
     assert "multiplicity" not in PrimaryComponent.__slots__
+
+
+# the engine's modules bottom first: `checks` and `errors`, then the pipeline
+# of the package docstring.  A module imports only modules listed before it,
+# which makes the imports acyclic
+ENGINE_LAYERS = [
+    "checks", "errors", "intlattice", "scalars", "poly", "groebner", "ideals",
+    "characters", "decompose", "cli",
+]
+
+
+def _package_imports(tree):
+    """The package modules named by the relative imports anywhere in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield from [node.module] if node.module else (a.name for a in node.names)
+
+
+def test_engine_imports_follow_the_pipeline_layers():
+    modules = {path.stem: ast.parse(path.read_text()) for path in ENGINE.glob("*.py")}
+    del modules["__init__"]
+    assert sorted(modules) == sorted(ENGINE_LAYERS)
+    imports = {name: set(_package_imports(tree)) for name, tree in modules.items()}
+    for name, tree in modules.items():
+        top = ast.Module([n for n in tree.body if isinstance(n, ast.ImportFrom)], [])
+        assert set(_package_imports(top)) == imports[name], f"{name} imports inside a function"
+        below = set(ENGINE_LAYERS[:ENGINE_LAYERS.index(name)])
+        assert imports[name] <= below, f"{name} imports {sorted(imports[name] - below)}"
+    assert imports["intlattice"] == {"checks"}
+    assert "intlattice" in imports["scalars"]
