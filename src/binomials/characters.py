@@ -391,9 +391,7 @@ def ideal_contains(rho, gens):
     for g in gens:
         off = [v for v in range(g.ring.nvars) if v not in cell]
         sums = {}
-        for e, c in g.terms:
-            if any(e[v] for v in off):
-                continue
+        for e, c in g.substitute_zero(off).terms:
             r, coords = rho.lattice.reduce([e[v] for v in cell])
             r = tuple(r)
             term = c * _evaluate(rho.field, coords, rho.values)

@@ -35,6 +35,7 @@ from .poly import (
     DEGREVLEX,
     MonomialOrder,
     Polynomial,
+    collect_terms,
     elim_order,
     mono_deg,
     mono_div,
@@ -218,8 +219,7 @@ def saturate_poly(i, f):
 
 def divide_exact(g, f):
     """Exact quotient g / f (raises if not divisible)."""
-    ring = g.ring
-    quot = {}
+    quot = []
     work = g
     lmf, lcf = f.lt(DEGREVLEX)
     while work.terms:
@@ -228,9 +228,9 @@ def divide_exact(g, f):
             raise ValueError("inexact polynomial division")
         q = mono_div(e, lmf)
         qc = c / lcf
-        quot[q] = quot.get(q, ring.field.zero) + qc
+        quot.append((q, qc))
         work = work - f.mul_term(q, qc)
-    return Polynomial.from_dict(ring, {e: c for e, c in quot.items() if c})
+    return collect_terms(g.ring, quot)
 
 
 def colon_poly(i, f):
@@ -377,14 +377,11 @@ def quasi_power_ratio(b, d, e):
     if d % e:
         raise ValueError("quasi-power ratio needs e | d")
     ea, eb, c = _two_term_parts(b)
-    ring = b.ring
     m = d // e
-    terms = {}
     ce = c**e
-    for i in range(m):
-        exp = tuple(e * (m - 1 - i) * x + e * i * y for x, y in zip(ea, eb))
-        terms[exp] = terms.get(exp, ring.field.zero) + ce**i
-    return Polynomial.from_dict(ring, {k: v for k, v in terms.items() if v})
+    terms = ((tuple(e * (m - 1 - i) * x + e * i * y for x, y in zip(ea, eb)), ce**i)
+             for i in range(m))
+    return collect_terms(b.ring, terms)
 
 
 def _leading_monomial_poly(b, ring):

@@ -3,14 +3,27 @@
 Monomials are plain exponent tuples.  A ``Polynomial`` stores its terms
 sorted descending under a fixed canonical order (degrevlex on the declared
 variable sequence); Groebner computations re-sort internally under whatever
-order is active.
+order is active.  ``collect_terms`` is the one place terms are added up
+(sums, products, projections, and the quotients and quasi-power ratios of
+``ideals``), ``substitute_zero`` filters terms without a re-sort, a ring
+coerces scalars through its field's ``scalar``, and ``render_poly`` writes
+a polynomial through ``scalars.render_terms``, the writer of scalars too.
 """
 
 from fractions import Fraction
 from operator import add, itemgetter, le, neg, sub
 
 from .errors import EscalationLimit, FieldMismatch, ParseError, UnknownVariable
-from .scalars import MAX_ZETA_ORDER, QQ, CycloElement, power, render_scalar, scalar_key, zeta
+from .scalars import (
+    MAX_ZETA_ORDER,
+    QQ,
+    CycloElement,
+    power,
+    render_scalar,
+    render_terms,
+    scalar_key,
+    zeta,
+)
 
 
 def mono_mul(a, b):
@@ -127,25 +140,16 @@ class Ring:
         return Polynomial(self, ((e, self.field.one),))
 
     def monomial(self, exp, coeff=None):
-        coeff = self.field.one if coeff is None else self.coerce_scalar(coeff)
+        coeff = self.field.one if coeff is None else self.field.scalar(coeff)
         if not coeff:
             return self.zero
         return Polynomial(self, ((tuple(exp), coeff),))
 
     def scalar(self, c):
-        c = self.coerce_scalar(c)
+        c = self.field.scalar(c)
         if not c:
             return self.zero
         return Polynomial(self, (((0,) * self.nvars, c),))
-
-    def coerce_scalar(self, c):
-        if isinstance(c, int):
-            return self.field.scalar(c)
-        if self.field.char == 0:
-            if isinstance(c, (Fraction, CycloElement)):
-                return c
-            raise FieldMismatch(f"cannot use {c!r} over {self.field!r}")
-        return self.field.scalar(c)
 
     def parse(self, text):
         return _PolyParser(text, self).parse()
@@ -202,10 +206,6 @@ class Polynomial:
     def __len__(self):
         return len(self.terms)
 
-    @property
-    def is_binomial(self):
-        return len(self.terms) <= 2
-
     def lt(self, order=None):
         """Leading (exp, coeff) under the order (canonical if omitted)."""
         if not self.terms:
@@ -253,16 +253,7 @@ class Polynomial:
         return self.ring.scalar(other)
 
     def __add__(self, other):
-        other = self._check(other)
-        d = dict(self.terms)
-        for e, c in other.terms:
-            prev = d.get(e)
-            c = c if prev is None else prev + c
-            if c:
-                d[e] = c
-            elif prev is not None:
-                del d[e]
-        return Polynomial.from_dict(self.ring, d)
+        return collect_terms(self.ring, self.terms + self._check(other).terms)
 
     __radd__ = __add__
 
@@ -277,23 +268,13 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            c = self.ring.coerce_scalar(other)
+            c = self.ring.field.scalar(other)
             if not c:
                 return self.ring.zero
             return Polynomial(self.ring, tuple((e, cc * c) for e, cc in self.terms))
         other = self._check(other)
-        d = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = mono_mul(e1, e2)
-                c = c1 * c2
-                prev = d.get(e)
-                c = c if prev is None else prev + c
-                if c:
-                    d[e] = c
-                elif prev is not None:
-                    del d[e]
-        return Polynomial.from_dict(self.ring, d)
+        terms = ((mono_mul(e1, e2), c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms)
+        return collect_terms(self.ring, terms)
 
     __rmul__ = __mul__
 
@@ -335,40 +316,43 @@ class Polynomial:
     # -- substitution / ring movement
 
     def substitute_zero(self, var_indices):
-        """Set the given variables to 0 (stay in the same ring)."""
+        """Set the given variables to 0 (stay in the same ring): the terms
+        that avoid them, still in canonical order."""
         s = set(var_indices)
-        d = {}
-        for e, c in self.terms:
-            if not any(e[i] for i in s):
-                d[e] = c
-        return Polynomial.from_dict(self.ring, d)
+        return Polynomial(self.ring, tuple(t for t in self.terms if not any(t[0][i] for i in s)))
 
     def project(self, new_ring, index_map):
         """Map into new_ring; index_map[i] = new position of old variable i,
         or None (the exponent must be 0 there)."""
-        d = {}
         nv = new_ring.nvars
-        for e, c in self.terms:
+
+        def image(e):
             ne = [0] * nv
-            ok = True
             for i, x in enumerate(e):
                 if not x:
                     continue
                 t = index_map[i]
                 if t is None:
-                    ok = False
-                    break
+                    raise ValueError("polynomial involves a dropped variable")
                 ne[t] = x
-            if not ok:
-                raise ValueError("polynomial involves a dropped variable")
-            key = tuple(ne)
-            prev = d.get(key)
-            c2 = c if prev is None else prev + c
-            if c2:
-                d[key] = c2
-            elif prev is not None:
-                del d[key]
-        return Polynomial.from_dict(new_ring, d)
+            return tuple(ne)
+
+        return collect_terms(new_ring, ((image(e), c) for e, c in self.terms))
+
+
+def collect_terms(ring, terms):
+    """The polynomial sum of the (exponent, coefficient) pairs `terms`: the
+    one place terms are added up, a zero sum dropped."""
+    d = {}
+    for e, c in terms:
+        prev = d.get(e)
+        if prev is not None:
+            c = prev + c
+        if c:
+            d[e] = c
+        elif prev is not None:
+            del d[e]
+    return Polynomial.from_dict(ring, d)
 
 
 # ---------------------------------------------------------------------------
@@ -376,41 +360,21 @@ class Polynomial:
 
 
 def _coeff_text(c):
+    """A coefficient's text, parenthesized when it is a sum of terms."""
     s = render_scalar(c, gf_suffix=False)
     bare = s.lstrip("-")
     if "+" in bare or "-" in bare[1:] or " " in s:
-        return f"({s})", False
-    return s, s.startswith("-")
+        return f"({s})"
+    return s
 
 
 def render_poly(p):
-    if not p.terms:
-        return "0"
-    ring = p.ring
-    chunks = []
-    for e, c in p.terms:
-        mono = "*".join(
-            ring.names[i] if x == 1 else f"{ring.names[i]}^{x}"
-            for i, x in enumerate(e)
-            if x
-        )
-        cs, neg = _coeff_text(c)
-        if not mono:
-            body = cs
-        elif cs == "1":
-            body = mono
-        elif cs == "-1":
-            body = f"-{mono}"
-            neg = True
-        else:
-            body = f"{cs}*{mono}"
-        if not chunks:
-            chunks.append(body)
-        elif neg:
-            chunks.append(f" - {body[1:]}" if body.startswith("-") else f" + {body}")
-        else:
-            chunks.append(f" + {body}")
-    return "".join(chunks)
+    names = p.ring.names
+    return render_terms(
+        (_coeff_text(c), "*".join(names[i] if x == 1 else f"{names[i]}^{x}"
+                                  for i, x in enumerate(e) if x))
+        for e, c in p.terms
+    )
 
 
 def parse_scalar(text, field=QQ):

@@ -41,7 +41,7 @@ table, built only up to MAX_ENUMERATED_UNITS units, serves ``generator`` and
 """
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 from operator import mul
 
@@ -228,19 +228,14 @@ def power(x, e, one, times=mul):
 # cyclotomic polynomials and the QQ(zeta_N) tower
 
 
-_CYCLO_CACHE = {1: (-1, 1)}
-
-
+@cache
 def cyclotomic_polynomial(n):
     """Integer coefficients of Phi_n, ascending, monic."""
-    if n in _CYCLO_CACHE:
-        return _CYCLO_CACHE[n]
     num = [-1] + [0] * (n - 1) + [1]
     for d in divisors(n)[:-1]:
         num, rem = _divmod_monic(num, cyclotomic_polynomial(d))
         assert not any(rem)
-    _CYCLO_CACHE[n] = tuple(num)
-    return _CYCLO_CACHE[n]
+    return tuple(num)
 
 
 # arithmetic in QQ(zeta_N) grows faster than N, so no field above this order
@@ -264,19 +259,20 @@ def _zeta_power(order, e):
     return tuple(_divmod_monic([0] * e + [1], _modulus(order))[1])
 
 
-_EMBED_CACHE = {}
-
-
+@cache
 def _embedding(n, m):
     """Rows: integer coefficients of each QQ(zeta_n) basis power inside QQ(zeta_m)."""
-    key = (n, m)
-    rows = _EMBED_CACHE.get(key)
-    if rows is None:
-        assert m % n == 0
-        step = m // n
-        rows = tuple(_zeta_power(m, i * step) for i in range(euler_phi(n)))
-        _EMBED_CACHE[key] = rows
-    return rows
+    assert m % n == 0
+    step = m // n
+    return tuple(_zeta_power(m, i * step) for i in range(euler_phi(n)))
+
+
+@cache
+def _subfield(m, n):
+    """(lattice, T) for the rows of _embedding(m, n), a Z-basis of Z[zeta_m]
+    inside Z[zeta_n]: the lattice holds their Hermite form H = T·rows."""
+    h, t = hnf_with_transform(_embedding(m, n))
+    return Lattice(len(h[0]), h), t
 
 
 def _numerators(a, n):
@@ -452,9 +448,7 @@ class CycloElement:
         it lies in their span, with coordinates c, and then x = c·T.
         """
         for m in divisors(self.order)[:-1]:
-            h, t = hnf_with_transform(_embedding(m, self.order))
-            lat = Lattice(len(self.num))
-            lat.basis = tuple(map(tuple, h))  # the rows are independent
+            lat, t = _subfield(m, self.order)
             coords = lat.express(self.num)
             if coords is not None:
                 return (m, tuple([Fraction(x, self.den) for x in mat_mul([coords], t)[0]]))
@@ -911,7 +905,7 @@ class CycloField:
         return Fraction(1)
 
     def scalar(self, x):
-        if isinstance(x, (int, str)):
+        if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, (Fraction, CycloElement)):
             return x
@@ -977,33 +971,36 @@ def _render_rational(q):
     return text if q.denominator == 1 else f"{text}/{digits(q.denominator)}"
 
 
+def render_terms(pairs):
+    """The text of a sum of terms, from (coefficient text, monomial text)
+    pairs, the monomial text empty for a constant: the one writer of
+    polynomials, in z or t and in the ring's variables.  A coefficient 1
+    or -1 is left out before a monomial, and a term whose text starts with
+    "-" is joined by " - "."""
+    chunks = []
+    for coeff, mono in pairs:
+        if not mono:
+            body = coeff
+        elif coeff == "1":
+            body = mono
+        elif coeff == "-1":
+            body = f"-{mono}"
+        else:
+            body = f"{coeff}*{mono}"
+        if not chunks:
+            chunks.append(body)
+        elif body.startswith("-"):
+            chunks.append(f" - {body[1:]}")
+        else:
+            chunks.append(f" + {body}")
+    return "".join(chunks) or "0"
+
+
 def _render_qpoly(coeffs, varname):
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if not c:
-            continue
-        if i == 0:
-            mon = None
-        elif i == 1:
-            mon = varname
-        else:
-            mon = f"{varname}^{i}"
-        if mon is None:
-            body = _render_rational(c)
-        elif c == 1:
-            body = mon
-        elif c == -1:
-            body = f"-{mon}"
-        else:
-            body = f"{_render_rational(c)}*{mon}"
-        if terms and not body.startswith("-"):
-            terms.append(f" + {body}")
-        elif terms:
-            terms.append(f" - {body[1:]}")
-        else:
-            terms.append(body)
-    return "".join(terms) if terms else "0"
+    powers = ["", varname] + [f"{varname}^{i}" for i in range(2, len(coeffs))]
+    return render_terms(
+        (_render_rational(c), powers[i]) for i, c in reversed(list(enumerate(coeffs))) if c
+    )
 
 
 def render_scalar(a, gf_suffix=True):

@@ -341,6 +341,32 @@ def test_cyclotomic_order_990_session(tmp_path):
     assert time.perf_counter() - start < 15
 
 
+TWENTY = [f"x{i}" for i in range(20)]
+ALL_CELL = "{" + ",".join(TWENTY) + "}"
+OFF_X0_CELL = "{" + ",".join(TWENTY[1:]) + "}"
+
+
+@pytest.mark.parametrize("gens, command, report", [
+    ("x0 - x1", "cellular", f"1 cellular component:\n  cell {ALL_CELL}: x0 - x1\n"),
+    ("x0^2 - x0*x1", "primary",
+     "2 primary components:\n"
+     f"  [minimal, multiplicity 1] cell {ALL_CELL}: x0 - x1\n    prime: x0 - x1\n"
+     f"  [minimal, multiplicity 1] cell {OFF_X0_CELL}: x0\n    prime: x0\n"),
+], ids=["cellular", "primary"])
+def test_unused_variables_join_every_cell(gens, command, report):
+    # x2, ..., x19 occur in no basis element, so the cell scan tries the
+    # subsets of {x0, x1} only; a scan of all 2^20 subsets takes hours
+    proc = subprocess.run(
+        [sys.executable, "-m", "binomials.cli"],
+        input=f"ring QQ[{','.join(TWENTY)}]; ideal I = {gens}; {command} I;",
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"== {command} I\n{report}"
+
+
 # The plain-text report is rendered from the JSON record; these literal
 # reports were recorded from the CLI when each branch still built its own
 # text, and cover what no reference digest does.

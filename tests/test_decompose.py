@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -1255,3 +1256,80 @@ def test_associated_prime_scan_builds_no_basis_of_a_colon(monkeypatch):
     colons = [colon for i, colon in made if colon is not i]
     assert len(colons) >= 10
     assert all(colon._gb == {} for colon in colons)
+
+
+def _full_cell_scan(i):
+    """The cells of all 2^n subsets of the variables, largest first."""
+    n = i.ring.nvars
+    gens = i.gb().polys
+    out = []
+    for size in range(n, -1, -1):
+        for cell in combinations(range(n), size):
+            rho = cell_character(gens, cell, i.ring.field)
+            if rho is not None:
+                out.append((cell, rho))
+    return out
+
+
+def _ideals_with_unused_variables(rng, count):
+    """Binomial ideals on two or three variables of a ring with one or two
+    more that no generator uses, at random positions; a generator is a
+    binomial, at times times a monomial."""
+    fields = [(QQ, [1, -1]), (CycloField(4), [1, -1, zeta(4)]), (FiniteField(5), [1, 2, 3, 4])]
+    out = []
+    for k in range(count):
+        field, units = fields[k % 3]
+        nused, nunused = rng.choice((2, 3)), rng.choice((1, 2))
+        n = nused + nunused
+        used = rng.sample(range(n), nused)
+        R = Ring(field, [f"x{v}" for v in range(n)])
+
+        def monomial(top):
+            return R.monomial(tuple(rng.randrange(top) if v in used else 0 for v in range(n)))
+
+        gens = []
+        for _ in range(rng.choice((1, 2, 3))):
+            b = monomial(3) - rng.choice(units) * monomial(3)
+            gens.append(monomial(2) * b if rng.random() < 0.5 else b)
+        i = Ideal(R, gens)
+        if not i.is_zero() and not i.is_unit():
+            out.append(i)
+    return out
+
+
+def _decomposition_outcomes(i):
+    """What radical, minimal_prime_entries, cellular_decomposition and
+    primary_decomposition give for i, in order, or the error they raise."""
+    readers = [
+        lambda: radical(i).gb().polys,
+        lambda: [(cell, s, p.gens) for cell, s, p in decompose.minimal_prime_entries(i)],
+        lambda: [(c.cell, c.exponents, c.ideal.gb().polys) for c in cellular_decomposition(i)],
+        lambda: [(pc.cell, pc.char, pc.embedded, pc.ideal.gb().polys)
+                 for pc in primary_decomposition(i)],
+    ]
+    out = []
+    for read in readers:
+        try:
+            out.append(read())
+        except BinomialsError as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def test_cell_scan_of_the_used_variables_matches_the_full_scan(monkeypatch):
+    # an unused variable joins every cell; the scan keeps the full scan's
+    # cells that hold all unused variables, in the full scan's order, and
+    # the pieces on the skipped cells change no decomposition
+    skipped = 0
+    for i in _ideals_with_unused_variables(random.Random(33), 36):
+        used = {v for g in i.gb().polys for e, _ in g.terms for v, x in enumerate(e) if x}
+        unused = set(range(i.ring.nvars)) - used
+        full = _full_cell_scan(i)
+        scan = cell_scan(i)
+        assert unused and scan == [(cell, rho) for cell, rho in full if unused <= set(cell)]
+        skipped += len(full) - len(scan)
+        outcomes = _decomposition_outcomes(i)
+        with monkeypatch.context() as patch:
+            patch.setattr(decompose, "cell_scan", _full_cell_scan)
+            assert _decomposition_outcomes(Ideal(i.ring, i.gens)) == outcomes, i
+    assert skipped >= 100, skipped

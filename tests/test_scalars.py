@@ -17,7 +17,7 @@ from binomials.errors import (
     RootNotInField,
 )
 from binomials import scalars
-from binomials.poly import Ring, _growth_bits, parse_scalar
+from binomials.poly import Ring, _growth_bits, parse_scalar, render_poly
 from binomials.scalars import (
     QQ,
     CycloElement,
@@ -204,6 +204,29 @@ def test_render_parse_roundtrip():
     F9 = FiniteField(3, 2)
     for c in F9.elements():
         assert parse_scalar(render_scalar(c, gf_suffix=False), F9) == c
+    # polynomials: a compound coefficient is parenthesized, a coefficient
+    # ±1 is left out, and a negative term is joined by " - "
+    R = Ring(CycloField(12), ("x", "y"))
+    x, y, z = R.var("x"), R.var("y"), zeta(12)
+    p = (z**2 + 1) * x**2 * y - x * y + y**3 - Fraction(3, 2)
+    assert render_poly(p) == "(z12^2 + 1)*x^2*y + y^3 - x*y - 3/2"
+    assert render_poly(-x + (z - z**3) * y - 1) == "-x + (-z12^3 + z12)*y - 1"
+    F8 = FiniteField(2, 3)
+    S = Ring(F8, ("x", "y"))
+    f = F8.element((0, 1, 1)) * S.var("x") ** 2 + S.var("y") + F8.element((0, 1))
+    assert render_poly(f) == "(t^2 + t)*x^2 + y + t"
+    rng = random.Random(12)
+    coefficients = [
+        (Ring(QQ, ("x", "y", "w")), lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))),
+        (R, lambda: sum(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) * z**j for j in range(4))),
+        (S, lambda: rng.choice(F8.elements())),
+    ]
+    for ring, coefficient in coefficients:
+        for _ in range(40):
+            p = ring.zero
+            for _ in range(rng.randint(0, 5)):
+                p += ring.monomial([rng.randint(0, 2) for _ in ring.names], coefficient())
+            assert ring.parse(render_poly(p)) == p, render_poly(p)
 
 
 def test_expression_grammar():

@@ -9,7 +9,9 @@ recorded in `reference_digests.json` (`--json`) and
 `reference_text_digests.json` (the plain-text report) for every benchmark
 session.  No new plain `assert` enters the engine, and no new caller of
 the auxiliary-variable primitives or of the residue-ring kernel's extended
-Euclid and square-and-multiply.  Prime comparisons in `decompose` read
+Euclid and square-and-multiply.  A polynomial's terms are added up by one
+collector, written by one writer and restricted to a cell by one filter,
+and a ring coerces scalars only through its field.  Prime comparisons in `decompose` read
 characters through `ideal_contains` and `extends`, with no membership test
 or ideal key.  A finite field walks its unit group only
 in its table builder.  An ideal is one object: nothing in the engine copies
@@ -293,6 +295,36 @@ def test_one_euclid_and_one_square_and_multiply():
         assert not any(isinstance(n, ast.While) for n in inner), (name, method.name)
         if method.name == "inverse":  # no Fermat power a^(q - 2)
             assert not any(isinstance(n, ast.Pow) for n in inner), name
+
+
+# the polynomial layer sums terms in `collect_terms`, writes a sum of terms
+# in `render_terms` and restricts to a cell in `substitute_zero`, each with
+# these callers; scalars are coerced by the field's `scalar` alone
+POLY_LAYER_CALLERS = {
+    "collect_terms": {
+        ("poly.py", "Polynomial.__add__"),
+        ("poly.py", "Polynomial.__mul__"),
+        ("poly.py", "Polynomial.project"),
+        ("ideals.py", "divide_exact"),
+        ("ideals.py", "quasi_power_ratio"),
+    },
+    "render_terms": {("poly.py", "render_poly"), ("scalars.py", "_render_qpoly")},
+    "substitute_zero": {
+        ("characters.py", "cell_character"),
+        ("characters.py", "ideal_contains"),
+    },
+}
+
+
+def test_one_collector_one_writer_one_restriction():
+    assert _engine_callers(POLY_LAYER_CALLERS) == POLY_LAYER_CALLERS
+    defined = {
+        node.name
+        for path in sorted(ENGINE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "coerce_scalar" not in defined
 
 
 # a finite field walks its unit group once, in the table builder; generator()
