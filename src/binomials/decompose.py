@@ -144,9 +144,7 @@ def cell_scan(i):
     out = []
     for size in range(len(used), -1, -1):
         for part in combinations(sorted(used), size):
-            cell = part
-            if unused:
-                cell = tuple(sorted(part + unused))
+            cell = tuple(sorted(part + unused))
             rho = cell_character(gens, cell, ring.field)
             if rho is not None:
                 out.append((cell, rho))
